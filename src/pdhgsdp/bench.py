@@ -5,21 +5,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping
 
 from .problems import SdpProblem, gen_maxcut, gen_random, gen_snl
 from .projections import ProjectionConfig
 from .solver import (
-    BalancedResidualPolicy,
-    FixedPolicy,
-    GradientAlignmentPolicy,
-    LinesearchPolicy,
+    POLICY_NAMES,
     RunTrace,
     SolveConfig,
     SolveError,
     StepsizePolicy,
-    TuningFreePolicy,
+    make_policy,
     solve,
 )
 
@@ -60,7 +58,7 @@ class BenchConfig:
     budgets: Mapping[str, tuple[int, ...]] = field(
         default_factory=lambda: dict(DEFAULT_BUDGETS)
     )
-    policies: tuple[str, ...] = ("fixed", "bpdr", "alv", "ls", "tf")
+    policies: tuple[str, ...] = POLICY_NAMES
     ls_s_grid: tuple[float, ...] = DEFAULT_LS_GRID
     tol: float = 1e-6
     sizes: Mapping[str, dict] = field(default_factory=dict)
@@ -78,28 +76,22 @@ class BenchConfig:
                 )
         if self.seeds < 1:
             raise ValueError("need at least one seed")
+        for name in self.policies:
+            if name not in POLICY_NAMES:
+                raise ValueError(f"unknown policy {name!r}")
 
     def policy_factories(self) -> list[tuple[str, Callable[[], StepsizePolicy]]]:
         """Expand the policy list; the linesearch entry fans out over its
         s-grid with labels like "ls_s0.2"."""
         out: list[tuple[str, Callable[[], StepsizePolicy]]] = []
-        params = self.policy_params
         for name in self.policies:
-            if name == "fixed":
-                out.append(("fixed", lambda: FixedPolicy(**params.get("fixed", {}))))
-            elif name == "bpdr":
-                out.append(("bpdr", lambda: BalancedResidualPolicy(**params.get("bpdr", {}))))
-            elif name == "alv":
-                out.append(("alv", lambda: GradientAlignmentPolicy(**params.get("alv", {}))))
-            elif name == "tf":
-                out.append(("tf", lambda: TuningFreePolicy(**params.get("tf", {}))))
-            elif name == "ls":
+            kwargs = self.policy_params.get(name, {})
+            if name == "ls":
                 for s in self.ls_s_grid:
-                    kw = dict(params.get("ls", {}))
-                    kw["s"] = s
-                    out.append((f"ls_s{s:g}", lambda kw=kw: LinesearchPolicy(**kw)))
+                    factory = partial(make_policy, name, **{**kwargs, "s": s})
+                    out.append((f"ls_s{s:g}", factory))
             else:
-                raise ValueError(f"unknown policy {name!r}")
+                out.append((name, partial(make_policy, name, **kwargs)))
         return out
 
 
@@ -210,42 +202,32 @@ def grid_search_eta(
     eta; instances where no eta converges count for none)."""
     split = dict(GRID_SEARCH_SPLIT if split is None else split)
     budgets = dict(budgets or {f: DEFAULT_BUDGETS[f][1] for f in split})
-    instances = [
-        (family, seed) for family in split for seed in range(1, split[family] + 1)
-    ]
+    names = ("bpdr", "alv")
 
-    iters_to_tol: dict[tuple[str, float, str, int], float] = {}
-    for family, seed in instances:
-        problem = make_problem(family, seed, sizes)
-        for eta in etas:
-            for name, ctor in (
-                ("bpdr", BalancedResidualPolicy),
-                ("alv", GradientAlignmentPolicy),
-            ):
-                policy = ctor(eps0=eps0, eta=eta)
-                cfg = SolveConfig(max_iters=budgets[family], tol=tol)
-                try:
-                    trace = solve(problem, policy, cfg)
-                except SolveError as exc:
-                    trace = exc.trace
-                iters_to_tol[(name, eta, family, seed)] = (
-                    trace.iterations if trace.status == "converged" else math.inf
+    # (policy, family, seed) -> iterations to tolerance per eta
+    iters_to_tol: dict[tuple[str, str, int], dict[float, float]] = {}
+    for eta in etas:
+        for family, seeds in split.items():
+            config = BenchConfig(
+                families=(family,), seeds=seeds, budgets={family: (budgets[family],)},
+                policies=names, tol=tol, sizes=sizes or {},
+                policy_params={name: {"eps0": eps0, "eta": eta} for name in names},
+            )
+            tagged = None if progress is None else (
+                lambda msg, eta=eta: progress(f"eta={eta} {msg}"))
+            for rec in run_bench(config, progress=tagged).records:
+                iters_to_tol.setdefault((rec.policy, family, rec.seed), {})[eta] = (
+                    rec.iterations if rec.converged else math.inf
                 )
-                if progress is not None:
-                    progress(f"{family} seed={seed} {name} eta={eta}: "
-                             f"{iters_to_tol[(name, eta, family, seed)]}")
 
-    fractions: dict[tuple[str, float], float] = {}
-    for name in ("bpdr", "alv"):
-        wins = {eta: 0 for eta in etas}
-        for family, seed in instances:
-            per_eta = {eta: iters_to_tol[(name, eta, family, seed)] for eta in etas}
-            best = min(per_eta.values())
-            if math.isinf(best):
-                continue
-            for eta, iters in per_eta.items():
-                if iters == best:
-                    wins[eta] += 1
-        for eta in etas:
-            fractions[(name, eta)] = wins[eta] / len(instances)
+    wins = {(name, eta): 0 for name in names for eta in etas}
+    for (name, _, _), per_eta in iters_to_tol.items():
+        best = min(per_eta.values())
+        if math.isinf(best):
+            continue
+        for eta, iters in per_eta.items():
+            if iters == best:
+                wins[(name, eta)] += 1
+    n_instances = sum(split.values())
+    fractions = {key: count / n_instances for key, count in wins.items()}
     return GridSearchResult(fastest_fraction=fractions)

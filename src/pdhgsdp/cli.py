@@ -25,7 +25,7 @@ from .drs import check_equivalence, constant_schedule, geometric_schedule
 from .operators import build_T, gram, lambda_max_AAt
 from .problems import gen_maxcut, gen_random, gen_snl, read_instance
 from .projections import ProjectionConfig
-from .solver import SolveConfig, SolveError, make_policy, solve
+from .solver import POLICY_NAMES, SolveConfig, SolveError, make_policy, solve
 
 
 def _parse_proj(text: str) -> ProjectionConfig:
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True,
                    help="rg | mc | snl | file:<path to SDPA sparse file>")
     p.add_argument("--policy", required=True,
-                   choices=["fixed", "bpdr", "alv", "ls", "tf"])
+                   choices=POLICY_NAMES)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--max-iters", type=int, default=10000)
     p.add_argument("--tol", type=float, default=1e-6)

@@ -3,7 +3,12 @@
 One engine loop serves every stepsize policy:
 
     X_{k+1} = Proj_PSD(X_k - alpha (A^T(y_k) + C))
-    y_{k+1} = y_k + beta (A(X_{k+1} + theta (X_{k+1} - X_k)) - b)
+    y_{k+1} = y_k + beta ((1 + theta) A(X_{k+1}) - theta A(X_k) - b)
+
+The engine is the only place that applies the constraint map: by linearity
+one A(X_{k+1}) and one A^T(y_{k+1}) per iteration serve the primal step, the
+dual extrapolation and both residuals, and it carries both products into the
+next iteration.
 
 Policies hook in at three points: ``adjust_mid`` runs between the primal and
 dual updates (used by rules that pick the next primal stepsize there, with
@@ -11,6 +16,9 @@ the dual update applying theta = alpha_next/alpha_current), ``dual_update``
 may take over the dual step entirely (backtracking linesearch), and
 ``adjust_post`` runs after the residuals are known (residual balancing and
 gradient-alignment rules, whose new stepsizes take effect next iteration).
+Hooks read the cached products from :class:`IterateState` and never apply an
+operator themselves; the linesearch is the one exception, with two A^T
+applications per iteration that serve all of its backtracking trials.
 """
 
 from __future__ import annotations
@@ -37,7 +45,8 @@ class LinesearchStalled(RuntimeError):
 
 
 class SolveError(RuntimeError):
-    """A policy failed mid-run; ``trace`` holds the iterations completed."""
+    """An iteration failed mid-run (a policy hook, the projection, or a
+    non-finite iterate); ``trace`` holds the iterations completed."""
 
     def __init__(self, message: str, trace: "RunTrace"):
         super().__init__(message)
@@ -61,12 +70,14 @@ class StepsizeState:
 
 @dataclass
 class IterateState:
-    """Engine iterates entering iteration k: X_cur = X^k, X_prev = X^{k-1},
-    y = y^k. Arrays are dense and symmetric by construction."""
+    """Engine iterates entering iteration k with their cached map products:
+    X_cur = X^k, y = y^k, AX = A(X^k), Aty = A^T(y^k). Matrices are dense and
+    symmetric by construction."""
 
     X_cur: np.ndarray
-    X_prev: np.ndarray
     y: np.ndarray
+    AX: np.ndarray
+    Aty: np.ndarray
     k: int
 
 
@@ -139,23 +150,14 @@ class SolveConfig:
 # --- residuals and stopping -------------------------------------------------
 
 
-def residual_terms(
-    problem: SdpProblem,
-    x_old: np.ndarray,
-    x_new: np.ndarray,
-    y_old: np.ndarray,
-    y_new: np.ndarray,
-    alpha: float,
-    beta: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Primal residual matrix (X^k - X^{k+1})/alpha - A^T(y^k - y^{k+1}) and
-    dual residual vector (y^k - y^{k+1})/beta - A(X^k - X^{k+1})."""
-    cmap = problem.constraints
-    dx = x_old - x_new
-    dy = y_old - y_new
-    p_mat = dx / alpha - apply_At_dense(cmap, dy)
-    d_vec = dy / beta - apply_A_dense(cmap, dx)
-    return p_mat, d_vec
+def _residual_report(dx, dy, at_dy, a_dx, alpha: float, beta: float):
+    """Report on the primal residual matrix dx/alpha - A^T(dy) and the dual
+    residual vector dy/beta - A(dx), for dx = X^k - X^{k+1} and
+    dy = y^k - y^{k+1}; also returns the primal residual matrix."""
+    p_mat = dx / alpha - at_dy
+    p = float(np.linalg.norm(p_mat))
+    d = float(np.linalg.norm(dy / beta - a_dx))
+    return ResidualReport(p_norm=p, d_norm=d, combined=p * p + d * d), p_mat
 
 
 def residuals(
@@ -167,12 +169,15 @@ def residuals(
     alpha: float,
     beta: float,
 ) -> ResidualReport:
+    """Residual norms of one iteration, applying A and A^T to the iterate
+    differences."""
     if alpha <= 0 or beta <= 0:
         raise ValueError(f"stepsizes must be positive, got alpha={alpha}, beta={beta}")
-    p_mat, d_vec = residual_terms(problem, x_old, x_new, y_old, y_new, alpha, beta)
-    p = float(np.linalg.norm(p_mat))
-    d = float(np.linalg.norm(d_vec))
-    return ResidualReport(p_norm=p, d_norm=d, combined=p * p + d * d)
+    cmap = problem.constraints
+    dx, dy = x_old - x_new, y_old - y_new
+    report, _ = _residual_report(dx, dy, apply_At_dense(cmap, dy),
+                                 apply_A_dense(cmap, dx), alpha, beta)
+    return report
 
 
 def stop_check(report: ResidualReport, tol: float = DEFAULT_TOL) -> bool:
@@ -180,38 +185,6 @@ def stop_check(report: ResidualReport, tol: float = DEFAULT_TOL) -> bool:
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     return report.combined < tol
-
-
-# --- single updates (library surface; the engine inlines the same math) ----
-
-
-def x_update(
-    problem: SdpProblem,
-    x: np.ndarray,
-    y: np.ndarray,
-    alpha: float,
-    proj: ProjectionConfig = ProjectionConfig(),
-) -> np.ndarray:
-    """Projected primal step Proj_PSD(X - alpha (A^T(y) + C))."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    grad = apply_At_dense(problem.constraints, y) + problem.C.to_dense()
-    return projector(proj, problem.n)(x - alpha * grad)
-
-
-def y_update(
-    problem: SdpProblem,
-    y: np.ndarray,
-    x_new: np.ndarray,
-    x_cur: np.ndarray,
-    beta: float,
-    theta: float,
-) -> np.ndarray:
-    """Dual ascent y + beta (A(X_new + theta (X_new - X_cur)) - b)."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    xbar = x_new + theta * (x_new - x_cur)
-    return y + beta * (apply_A_dense(problem.constraints, xbar) - problem.b)
 
 
 # --- stepsize policies -------------------------------------------------------
@@ -227,7 +200,6 @@ class StepsizePolicy:
     """Base policy: no adjustment hooks."""
 
     name = "base"
-    product_preserving = True
 
     def initial_state(self, problem: SdpProblem) -> StepsizeState:
         raise NotImplementedError
@@ -235,13 +207,18 @@ class StepsizePolicy:
     def adjust_mid(self, problem, it: IterateState, x_new, ss: StepsizeState) -> None:
         pass
 
-    def dual_update(self, problem, it: IterateState, x_new, ss: StepsizeState):
+    def dual_update(self, problem, it: IterateState, x_new, ax_new,
+                    ss: StepsizeState) -> tuple[np.ndarray, np.ndarray] | None:
+        """Take over the dual step given X^{k+1} and A(X^{k+1}): return
+        (y^{k+1}, A^T(y^{k+1})), or None to leave it to the engine."""
         return None
 
     def adjust_post(
-        self, problem, it: IterateState, x_new, y_new, alpha_x, beta_y,
+        self, problem, it: IterateState, x_new, p_mat, alpha_x,
         report: ResidualReport, ss: StepsizeState,
     ) -> None:
+        """Runs once the residuals are known; ``p_mat`` is the primal residual
+        matrix and ``alpha_x`` the primal stepsize of this iteration."""
         pass
 
 
@@ -296,12 +273,12 @@ class _BalancingBase(StepsizePolicy):
         return ss
 
     # returns +1 (grow alpha), 0 (hold), -1 (shrink alpha)
-    def _branch(self, problem, it, x_new, y_new, alpha_x, report, ss) -> int:
+    def _branch(self, it, x_new, p_mat, alpha_x, report, ss) -> int:
         raise NotImplementedError
 
-    def adjust_post(self, problem, it, x_new, y_new, alpha_x, beta_y, report, ss):
+    def adjust_post(self, problem, it, x_new, p_mat, alpha_x, report, ss):
         eps = ss.extra["eps"]
-        branch = self._branch(problem, it, x_new, y_new, alpha_x, report, ss)
+        branch = self._branch(it, x_new, p_mat, alpha_x, report, ss)
         if branch > 0:
             factor = 1.0 / (1.0 - eps)
         elif branch < 0:
@@ -328,7 +305,7 @@ class BalancedResidualPolicy(_BalancingBase):
             raise ValueError(f"delta must be positive, got {delta}")
         self.delta = delta
 
-    def _branch(self, problem, it, x_new, y_new, alpha_x, report, ss) -> int:
+    def _branch(self, it, x_new, p_mat, alpha_x, report, ss) -> int:
         p, d = report.p_norm, report.d_norm
         if p > 2.0 * d * self.delta:
             return 1
@@ -343,8 +320,9 @@ class GradientAlignmentPolicy(_BalancingBase):
     shrink when they anti-align (w < 0).
 
     ``variant`` picks the residual form: "delta_y" uses A^T(y^k - y^{k+1}),
-    "absolute_y" uses A^T(y^k). Vanishing norms fall back to the hold branch
-    and bump the ``degenerate_cosine`` counter.
+    which is the engine's primal residual matrix, and "absolute_y" uses the
+    cached A^T(y^k). Vanishing norms fall back to the hold branch and bump the
+    ``degenerate_cosine`` counter.
     """
 
     name = "alv"
@@ -358,13 +336,10 @@ class GradientAlignmentPolicy(_BalancingBase):
         self.cosine_threshold = cosine_threshold
         self.variant = variant
 
-    def _branch(self, problem, it, x_new, y_new, alpha_x, report, ss) -> int:
-        cmap = problem.constraints
+    def _branch(self, it, x_new, p_mat, alpha_x, report, ss) -> int:
         dx = it.X_cur - x_new
-        if self.variant == "delta_y":
-            p_mat = dx / alpha_x - apply_At_dense(cmap, it.y - y_new)
-        else:
-            p_mat = dx / alpha_x - apply_At_dense(cmap, it.y)
+        if self.variant == "absolute_y":
+            p_mat = dx / alpha_x - it.Aty
         ndx = float(np.linalg.norm(dx))
         npm = float(np.linalg.norm(p_mat))
         if ndx == 0.0 or npm == 0.0:
@@ -387,10 +362,13 @@ class LinesearchPolicy(StepsizePolicy):
     while ||A^T(y_trial - y)||_F > ||y_trial - y|| / (sqrt(s) alpha_k), shrink
     alpha_k by mu and retry. The accepted alpha_k is also the next primal
     stepsize.
+
+    Every trial step is y_trial - y = beta (u + theta v) with the fixed
+    vectors u = A(X^{k+1}) - b and v = A(X^{k+1}) - A(X^k), so A^T is applied
+    to u and v once and each trial combines the two products.
     """
 
     name = "ls"
-    product_preserving = False
 
     def __init__(self, s: float = 1.0, mu: float = 0.7, max_backtracks: int = 60,
                  alpha0: float | None = None):
@@ -412,23 +390,24 @@ class LinesearchPolicy(StepsizePolicy):
             a0 = 0.9 / math.sqrt(self.s * lam) if lam > 0 else 1.0
         return StepsizeState(alpha=a0, beta=self.s * a0, theta=1.0, R=self.s * a0 * a0)
 
-    def dual_update(self, problem, it, x_new, ss):
-        cmap, b = problem.constraints, problem.b
+    def dual_update(self, problem, it, x_new, ax_new, ss):
+        u = ax_new - problem.b
+        v = ax_new - it.AX
+        at_u = apply_At_dense(problem.constraints, u)
+        at_v = apply_At_dense(problem.constraints, v)
         alpha_prev = ss.alpha
-        a_xn = apply_A_dense(cmap, x_new)
-        a_xc = apply_A_dense(cmap, it.X_cur)
         a = alpha_prev * math.sqrt(1.0 + ss.theta)
         sqrt_s = math.sqrt(self.s)
         for _ in range(self.max_backtracks + 1):
             beta = self.s * a
             theta = a / alpha_prev
-            y_trial = it.y + beta * ((1.0 + theta) * a_xn - theta * a_xc - b)
-            dy = y_trial - it.y
-            lhs = float(np.linalg.norm(apply_At_dense(cmap, dy)))
+            dy = beta * (u + theta * v)
+            at_dy = beta * (at_u + theta * at_v)
+            lhs = float(np.linalg.norm(at_dy))
             rhs = float(np.linalg.norm(dy)) / (sqrt_s * a)
             if lhs <= rhs:
                 ss.alpha, ss.beta, ss.theta = a, beta, theta
-                return y_trial
+                return it.y + dy, it.Aty + at_dy
             a *= self.mu
         raise LinesearchStalled(
             f"linesearch stalled: no acceptance after {self.max_backtracks} shrinks"
@@ -487,7 +466,7 @@ class TuningFreePolicy(StepsizePolicy):
         eps = ss.extra["eps"]
         k_one_based = it.k + 1
         omega = 2.0 ** (-k_one_based / 100.0)
-        ref = x_new - it.X_cur + ss.alpha * apply_At_dense(problem.constraints, it.y)
+        ref = x_new - it.X_cur + ss.alpha * it.Aty
         den = float(np.linalg.norm(ref))
         if den == 0.0:
             clamped = self.theta_max
@@ -558,68 +537,72 @@ def _dense_initial(problem: SdpProblem, config: SolveConfig) -> tuple[np.ndarray
     return x, y
 
 
+_FLAG_KEYS = ("tf_zero_denominator", "degenerate_cosine")
+
+
+def _flags(ss: StepsizeState) -> dict:
+    """The event counters of ``ss.extra``, without policy-internal scalars."""
+    return {key: ss.extra[key] for key in _FLAG_KEYS if key in ss.extra}
+
+
 def solve(problem: SdpProblem, policy: StepsizePolicy,
           config: SolveConfig = SolveConfig()) -> RunTrace:
     """Run the engine until the stopping rule fires or the budget runs out.
 
     The trace records every iteration; ``status`` is "converged" only if the
-    residual rule fired. Policy failures raise :class:`SolveError` carrying
-    the trace accumulated so far.
+    residual rule fired. A failure inside an iteration (a policy hook, the
+    projection, a non-finite iterate) raises :class:`SolveError` carrying the
+    trace accumulated so far.
     """
     cmap, b = problem.constraints, problem.b
     c_dense = problem.C.to_dense()
     proj = projector(config.proj, problem.n)
     x_cur, y = _dense_initial(problem, config)
-    x_prev = x_cur.copy()
+    ax, aty = apply_A_dense(cmap, x_cur), apply_At_dense(cmap, y)
 
     ss = policy.initial_state(problem)
     rows: list[TraceRow] = []
     status = "iteration_cap"
 
-    def _fail(exc: Exception):
-        trace = RunTrace(rows, "error", SymMat.from_dense(x_cur), y.copy(),
-                         flags=dict(ss.extra))
-        raise SolveError(str(exc), trace) from exc
-
     for k in range(config.max_iters):
         tic = time.perf_counter()
-        alpha_x = ss.alpha
-        x_new = proj(x_cur - alpha_x * (apply_At_dense(cmap, y) + c_dense))
-        it = IterateState(X_cur=x_cur, X_prev=x_prev, y=y, k=k)
-
         try:
-            y_new = policy.dual_update(problem, it, x_new, ss)
-            if y_new is None:
+            alpha_x = ss.alpha
+            x_new = proj(x_cur - alpha_x * (aty + c_dense))
+            ax_new = apply_A_dense(cmap, x_new)
+            it = IterateState(X_cur=x_cur, y=y, AX=ax, Aty=aty, k=k)
+            dual = policy.dual_update(problem, it, x_new, ax_new, ss)
+            if dual is None:
                 policy.adjust_mid(problem, it, x_new, ss)
-                y_new = y_update(problem, y, x_new, x_cur, ss.beta, ss.theta)
-        except Exception as exc:  # policy failure: surface with partial trace
-            _fail(exc)
+                theta = ss.theta
+                y_new = y + ss.beta * ((1.0 + theta) * ax_new - theta * ax - b)
+                aty_new = apply_At_dense(cmap, y_new)
+            else:
+                y_new, aty_new = dual
 
-        beta_y = ss.beta
-        report = residuals(problem, x_cur, x_new, y, y_new, alpha_x, beta_y)
-        objective = frobenius_inner_dense(c_dense, x_new)
-        wall_ms = (time.perf_counter() - tic) * 1e3
-        rows.append(TraceRow(k, report.p_norm, report.d_norm, report.combined,
-                             objective, ss.alpha, ss.beta, ss.theta, wall_ms))
+            report, p_mat = _residual_report(x_cur - x_new, y - y_new, aty - aty_new,
+                                             ax - ax_new, alpha_x, ss.beta)
+            objective = frobenius_inner_dense(c_dense, x_new)
+            wall_ms = (time.perf_counter() - tic) * 1e3
+            rows.append(TraceRow(k, report.p_norm, report.d_norm, report.combined,
+                                 objective, ss.alpha, ss.beta, ss.theta, wall_ms))
 
-        converged = stop_check(report, config.tol)
-        if not converged:
-            try:
-                policy.adjust_post(problem, it, x_new, y_new, alpha_x, beta_y,
-                                   report, ss)
-            except Exception as exc:
-                _fail(exc)
+            converged = stop_check(report, config.tol)
+            if not converged:
+                policy.adjust_post(problem, it, x_new, p_mat, alpha_x, report, ss)
+        except Exception as exc:  # surface any failure with the partial trace
+            trace = RunTrace(rows, "error", SymMat.from_dense(x_cur), y.copy(),
+                             flags=_flags(ss))
+            raise SolveError(str(exc), trace) from exc
 
-        x_prev, x_cur, y = x_cur, x_new, y_new
+        x_cur, y, ax, aty = x_new, y_new, ax_new, aty_new
         if config.callback is not None:
             config.callback(k, x_new, y_new)
         if converged:
             status = "converged"
             break
 
-    flag_keys = ("tf_zero_denominator", "degenerate_cosine")
-    flags = {key: ss.extra[key] for key in flag_keys if key in ss.extra}
-    return RunTrace(rows, status, SymMat.from_dense(x_cur), y.copy(), flags=flags)
+    return RunTrace(rows, status, SymMat.from_dense(x_cur), y.copy(), flags=_flags(ss))
 
 
 POLICY_NAMES = ("fixed", "bpdr", "alv", "ls", "tf")

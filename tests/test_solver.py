@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import pdhgsdp.solver as solver_module
 from pdhgsdp.linalg import SymMat
 from pdhgsdp.operators import ConstraintMap, apply_A, apply_A_dense, apply_At_dense
-from pdhgsdp.problems import SdpProblem, gen_maxcut, gen_random
+from pdhgsdp.problems import SdpProblem, gen_maxcut, gen_random, gen_snl
 from pdhgsdp.projections import proj_psd
 from pdhgsdp.solver import (
+    POLICY_NAMES,
     BalancedResidualPolicy,
     FixedPolicy,
     GradientAlignmentPolicy,
@@ -13,16 +15,16 @@ from pdhgsdp.solver import (
     LinesearchPolicy,
     LinesearchStalled,
     ResidualReport,
+    SchedulePolicy,
     SolveConfig,
     SolveError,
+    StepsizePolicy,
     StepsizeState,
     TuningFreePolicy,
     make_policy,
     residuals,
     solve,
     stop_check,
-    x_update,
-    y_update,
 )
 
 
@@ -30,67 +32,113 @@ def small_rg(seed=0, n=5, m=3):
     return gen_random(seed, n=n, m=m)
 
 
+def small_snl(seed=1):
+    problem, _ = gen_snl(seed, m_anchors=3, n_sensors=5, radius=0.9, degree=4)
+    return problem
+
+
 def zero_map_problem(n=3):
     cmap = ConstraintMap((SymMat.zeros(n),))
     return SdpProblem(SymMat.zeros(n), cmap, np.zeros(1), {"generator": "custom"})
 
 
+def random_sym(rng, n):
+    return SymMat.from_dense(rng.standard_normal((n, n))).to_dense()
+
+
+def iterate_state(prob, x_cur, y, k=0):
+    """IterateState with the map products the engine would have cached."""
+    cmap = prob.constraints
+    return IterateState(X_cur=x_cur, y=y, AX=apply_A_dense(cmap, x_cur),
+                        Aty=apply_At_dense(cmap, y), k=k)
+
+
+class ConstantSteps(StepsizePolicy):
+    """Constant (alpha, beta, theta), with no product condition."""
+
+    def __init__(self, alpha, beta=1.0, theta=1.0):
+        self.steps = (alpha, beta, theta)
+
+    def initial_state(self, problem):
+        alpha, beta, theta = self.steps
+        return StepsizeState(alpha=alpha, beta=beta, theta=theta, R=alpha * beta)
+
+
+def one_step(prob, x0, y0, alpha, beta=1.0, theta=1.0):
+    """(X^1, y^1) of one engine iteration from (x0, y0)."""
+    seen = []
+    solve(prob, ConstantSteps(alpha, beta, theta),
+          SolveConfig(max_iters=1, tol=1e-300, X0=x0, y0=y0,
+                      callback=lambda k, x, y: seen.append((x, y))))
+    return seen[0]
+
+
 class TestXUpdate:
+    """The engine's primal step Proj_PSD(X - alpha (A^T(y) + C))."""
+
     def test_zero_gradient_projects_iterate(self):
         prob = zero_map_problem()
         x = np.diag([1.0, -2.0, 3.0])
-        out = x_update(prob, x, np.zeros(1), alpha=0.7)
+        out, _ = one_step(prob, x, np.zeros(1), alpha=0.7)
         np.testing.assert_allclose(out, np.diag([1.0, 0.0, 3.0]), atol=1e-14)
 
     def test_psd_fixed_point(self):
         prob = zero_map_problem()
         x = np.eye(3)
-        np.testing.assert_allclose(x_update(prob, x, np.zeros(1), 0.5), x, atol=1e-14)
+        out, _ = one_step(prob, x, np.zeros(1), alpha=0.5)
+        np.testing.assert_allclose(out, x, atol=1e-14)
 
     def test_matches_projection_oracle(self):
         prob = small_rg(1)
         rng = np.random.default_rng(2)
-        x = SymMat.from_dense(rng.standard_normal((5, 5))).to_dense()
+        x = random_sym(rng, 5)
         y = rng.standard_normal(3)
         alpha = 0.3
         step = x - alpha * (
             apply_At_dense(prob.constraints, y) + prob.C.to_dense()
         )
         oracle = proj_psd(SymMat.from_dense(step)).to_dense()
-        np.testing.assert_allclose(x_update(prob, x, y, alpha), oracle, atol=1e-12)
+        out, _ = one_step(prob, x, y, alpha)
+        np.testing.assert_allclose(out, oracle, atol=1e-12)
 
     def test_alpha_validation(self):
+        # a non-positive primal stepsize is rejected before any step
         prob = zero_map_problem()
         with pytest.raises(ValueError):
-            x_update(prob, np.eye(3), np.zeros(1), 0.0)
+            solve(prob, SchedulePolicy([0.0, 1.0], R=1.0), SolveConfig(max_iters=1))
 
 
 class TestYUpdate:
+    """The engine's dual step y + beta ((1 + theta) A(X^{k+1}) - theta A(X^k) - b)."""
+
     def test_feasible_extrapolate_keeps_y(self):
-        prob = gen_maxcut(1, n=4, m_edges=3)
-        x = np.eye(4)  # diag = 1 = b and extrapolation of equal iterates is x
+        # diag(I) = 1 = b, and C = -A^T(y) makes I a fixed point of the primal
+        # step, so the extrapolate of equal iterates is feasible
         y = np.arange(4.0)
-        np.testing.assert_allclose(y_update(prob, y, x, x, beta=0.5, theta=1.0), y)
+        mc = gen_maxcut(1, n=4, m_edges=3)
+        prob = SdpProblem(SymMat.from_dense(-np.diag(y)), mc.constraints, mc.b, {})
+        x_new, y_new = one_step(prob, np.eye(4), y, alpha=0.3, beta=0.5, theta=1.0)
+        np.testing.assert_allclose(x_new, np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(y_new, y)
 
     def test_no_extrapolation(self):
         prob = small_rg(3)
         rng = np.random.default_rng(4)
-        x_new = SymMat.from_dense(rng.standard_normal((5, 5))).to_dense()
-        x_cur = SymMat.from_dense(rng.standard_normal((5, 5))).to_dense()
+        x_cur = random_sym(rng, 5)
         y = rng.standard_normal(3)
+        x_new, y_new = one_step(prob, x_cur, y, alpha=0.2, beta=0.25, theta=0.0)
         v = apply_A_dense(prob.constraints, x_new) - prob.b
-        out = y_update(prob, y, x_new, x_cur, beta=0.25, theta=0.0)
-        np.testing.assert_allclose(out, y + 0.25 * v, rtol=1e-12)
+        np.testing.assert_allclose(y_new, y + 0.25 * v, rtol=1e-12)
 
     def test_linear_in_beta(self):
         prob = small_rg(5)
         rng = np.random.default_rng(6)
-        x_new = SymMat.from_dense(rng.standard_normal((5, 5))).to_dense()
-        x_cur = SymMat.from_dense(rng.standard_normal((5, 5))).to_dense()
+        x_cur = random_sym(rng, 5)
         y = rng.standard_normal(3)
-        inc1 = y_update(prob, y, x_new, x_cur, beta=0.1, theta=1.0) - y
-        inc2 = y_update(prob, y, x_new, x_cur, beta=0.2, theta=1.0) - y
-        np.testing.assert_allclose(inc2, 2.0 * inc1, rtol=1e-12)
+        x1, y1 = one_step(prob, x_cur, y, alpha=0.2, beta=0.1, theta=1.0)
+        x2, y2 = one_step(prob, x_cur, y, alpha=0.2, beta=0.2, theta=1.0)
+        np.testing.assert_array_equal(x1, x2)
+        np.testing.assert_allclose(y2 - y, 2.0 * (y1 - y), rtol=1e-12)
 
 
 class TestResiduals:
@@ -180,15 +228,14 @@ class TestBalancedResidualPolicy:
                              extra={"eps": 0.5})
 
     def _iterate(self, prob):
-        return IterateState(np.zeros((prob.n, prob.n)), np.zeros((prob.n, prob.n)),
-                            np.zeros(prob.m), k=0)
+        return iterate_state(prob, np.zeros((prob.n, prob.n)), np.zeros(prob.m))
 
     def test_balanced_branch_keeps_stepsizes(self):
         prob = small_rg(13)
         pol = BalancedResidualPolicy()
         ss = self._state()
         rep = ResidualReport(1.0, 1.0, 2.0)
-        pol.adjust_post(prob, self._iterate(prob), None, None, ss.alpha, ss.beta, rep, ss)
+        pol.adjust_post(prob, self._iterate(prob), None, None, ss.alpha, rep, ss)
         assert ss.alpha == 0.5 and ss.beta == 0.8 and ss.theta == 1.0
         assert ss.extra["eps"] == 0.5 * 0.95
 
@@ -198,7 +245,7 @@ class TestBalancedResidualPolicy:
         pol = BalancedResidualPolicy(eps0=0.5)
         ss = self._state(alpha=0.5, beta=0.8)
         rep = ResidualReport(10.0, 1.0, 101.0)
-        pol.adjust_post(prob, self._iterate(prob), None, None, ss.alpha, ss.beta, rep, ss)
+        pol.adjust_post(prob, self._iterate(prob), None, None, ss.alpha, rep, ss)
         assert ss.alpha == pytest.approx(1.0, rel=1e-15)
         assert ss.beta == pytest.approx(0.4, rel=1e-12)
         assert ss.theta == pytest.approx(2.0, rel=1e-15)
@@ -208,7 +255,7 @@ class TestBalancedResidualPolicy:
         pol = BalancedResidualPolicy(eps0=0.5)
         ss = self._state(alpha=1.0, beta=0.4)
         rep = ResidualReport(0.1, 1.0, 1.01)
-        pol.adjust_post(prob, self._iterate(prob), None, None, ss.alpha, ss.beta, rep, ss)
+        pol.adjust_post(prob, self._iterate(prob), None, None, ss.alpha, rep, ss)
         assert ss.alpha == pytest.approx(0.5, rel=1e-15)
         assert ss.theta == pytest.approx(0.5, rel=1e-15)
 
@@ -226,7 +273,7 @@ class TestBalancedResidualPolicy:
         eps = [ss.extra["eps"]]
         it = self._iterate(prob)
         for _ in range(5):
-            pol.adjust_post(prob, it, None, None, ss.alpha, ss.beta,
+            pol.adjust_post(prob, it, None, None, ss.alpha,
                             ResidualReport(1.0, 1.0, 2.0), ss)
             eps.append(ss.extra["eps"])
         for before, after in zip(eps, eps[1:]):
@@ -253,9 +300,11 @@ class TestGradientAlignmentPolicy:
         pol = GradientAlignmentPolicy(eps0=eps0)
         ss = StepsizeState(alpha=1.0, beta=1.0, theta=1.0, R=1.0, extra={"eps": eps0})
         x_new = np.zeros((2, 2))
-        it = IterateState(X_cur=dx.copy(), X_prev=dx.copy(), y=np.zeros(2), k=0)
+        it = iterate_state(prob, dx.copy(), np.zeros(2))
         y_new = -np.asarray(delta_y, dtype=float)  # so y_old - y_new = delta_y
-        pol.adjust_post(prob, it, x_new, y_new, 1.0, 1.0,
+        # the engine's primal residual matrix, here with alpha = 1
+        p_mat = (it.X_cur - x_new) - apply_At_dense(prob.constraints, it.y - y_new)
+        pol.adjust_post(prob, it, x_new, p_mat, 1.0,
                         ResidualReport(1.0, 1.0, 2.0), ss)
         return ss
 
@@ -283,8 +332,8 @@ class TestGradientAlignmentPolicy:
         pol = GradientAlignmentPolicy()
         ss = StepsizeState(alpha=1.0, beta=1.0, theta=1.0, R=1.0, extra={"eps": 0.5})
         x_same = dx.copy()
-        it = IterateState(X_cur=dx.copy(), X_prev=dx.copy(), y=np.zeros(2), k=0)
-        pol.adjust_post(prob, it, x_same, np.zeros(2), 1.0, 1.0,
+        it = iterate_state(prob, dx.copy(), np.zeros(2))
+        pol.adjust_post(prob, it, x_same, np.zeros((2, 2)), 1.0,
                         ResidualReport(0.0, 0.0, 0.0), ss)
         assert ss.alpha == 1.0 and ss.theta == 1.0
         assert ss.extra["degenerate_cosine"] == 1
@@ -293,9 +342,9 @@ class TestGradientAlignmentPolicy:
         prob, dx = self._setup()
         pol = GradientAlignmentPolicy(variant="absolute_y")
         ss = StepsizeState(alpha=1.0, beta=1.0, theta=1.0, R=1.0, extra={"eps": 0.5})
-        it = IterateState(X_cur=dx.copy(), X_prev=dx.copy(),
-                          y=np.array([0.0, 2.0 * np.linalg.norm(dx)]), k=0)
-        pol.adjust_post(prob, it, np.zeros((2, 2)), np.zeros(2), 1.0, 1.0,
+        it = iterate_state(prob, dx.copy(), np.array([0.0, 2.0 * np.linalg.norm(dx)]))
+        # a delta_y residual aligned with dx must not drive the branch
+        pol.adjust_post(prob, it, np.zeros((2, 2)), dx.copy(), 1.0,
                         ResidualReport(1.0, 1.0, 2.0), ss)
         assert ss.alpha == pytest.approx(0.5, rel=1e-15)  # anti-aligned branch
 
@@ -309,12 +358,14 @@ class TestLinesearchPolicy:
         prob = zero_map_problem()
         pol = LinesearchPolicy(s=2.0, alpha0=1.0)
         ss = pol.initial_state(prob)
-        it = IterateState(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(1), k=0)
-        y = pol.dual_update(prob, it, np.eye(3), ss)
+        it = iterate_state(prob, np.zeros((3, 3)), np.zeros(1))
+        x_new = np.eye(3)
+        y, aty = pol.dual_update(prob, it, x_new, apply_A_dense(prob.constraints, x_new), ss)
         # first trial: alpha = alpha0 * sqrt(1 + theta0) = sqrt(2)
         assert ss.alpha == pytest.approx(np.sqrt(2.0), rel=1e-15)
         assert ss.beta == pytest.approx(2.0 * ss.alpha, rel=1e-15)
         np.testing.assert_allclose(y, np.zeros(1))
+        np.testing.assert_allclose(aty, np.zeros((3, 3)))
 
     def test_maxcut_acceptance_boundary(self):
         # for the diag map, acceptance iff alpha <= 1/sqrt(s)
@@ -324,10 +375,16 @@ class TestLinesearchPolicy:
         ss = pol.initial_state(prob)
         ss.alpha, ss.theta = 1.0, 1.0
         rng = np.random.default_rng(20)
-        x_new = SymMat.from_dense(rng.standard_normal((4, 4))).to_dense()
-        x_cur = SymMat.from_dense(rng.standard_normal((4, 4))).to_dense()
-        it = IterateState(x_cur, x_cur, rng.standard_normal(4), k=1)
-        pol.dual_update(prob, it, x_new, ss)
+        x_new = random_sym(rng, 4)
+        x_cur = random_sym(rng, 4)
+        it = iterate_state(prob, x_cur, rng.standard_normal(4), k=1)
+        y, aty = pol.dual_update(prob, it, x_new, apply_A_dense(prob.constraints, x_new), ss)
+        # the returned adjoint product is A^T of the accepted dual iterate
+        np.testing.assert_allclose(aty, apply_At_dense(prob.constraints, y), atol=1e-12)
+        theta = ss.theta
+        expected = it.y + ss.beta * ((1.0 + theta) * apply_A_dense(prob.constraints, x_new)
+                                     - theta * it.AX - prob.b)
+        np.testing.assert_allclose(y, expected, rtol=1e-12)
         assert ss.alpha <= 1.0 / np.sqrt(s) + 1e-12
         # the accepted value is reached by mu-shrinks from the top trial
         trial = 1.0 * np.sqrt(2.0)
@@ -348,10 +405,9 @@ class TestLinesearchPolicy:
         pol = LinesearchPolicy(s=s, mu=mu, alpha0=a0)
         ss = pol.initial_state(prob)
         rng = np.random.default_rng(21)
-        x_new = SymMat.from_dense(rng.standard_normal((4, 4))).to_dense()
-        it = IterateState(np.zeros((4, 4)), np.zeros((4, 4)),
-                          rng.standard_normal(4), k=0)
-        pol.dual_update(prob, it, x_new, ss)
+        x_new = random_sym(rng, 4)
+        it = iterate_state(prob, np.zeros((4, 4)), rng.standard_normal(4))
+        pol.dual_update(prob, it, x_new, apply_A_dense(prob.constraints, x_new), ss)
         assert ss.alpha == pytest.approx(1.5 * mu * mu, rel=1e-12)
 
     def test_stall_raises(self):
@@ -359,11 +415,10 @@ class TestLinesearchPolicy:
         pol = LinesearchPolicy(s=4.0, mu=0.99, max_backtracks=0, alpha0=1.0)
         ss = pol.initial_state(prob)
         rng = np.random.default_rng(22)
-        x_new = SymMat.from_dense(rng.standard_normal((4, 4))).to_dense()
-        it = IterateState(np.zeros((4, 4)), np.zeros((4, 4)),
-                          rng.standard_normal(4), k=0)
+        x_new = random_sym(rng, 4)
+        it = iterate_state(prob, np.zeros((4, 4)), rng.standard_normal(4))
         with pytest.raises(LinesearchStalled):
-            pol.dual_update(prob, it, x_new, ss)
+            pol.dual_update(prob, it, x_new, apply_A_dense(prob.constraints, x_new), ss)
 
     def test_stall_inside_solve_carries_trace(self):
         prob = gen_maxcut(4, n=4, m_edges=3)
@@ -388,7 +443,7 @@ class TestTuningFreePolicy:
         # x_new with ||x_new|| == ||x_new - x_cur + alpha A^T(y)||: y = 0,
         # x_cur = 0 makes the ratio exactly 1
         x_new = np.eye(5)
-        it = IterateState(np.zeros((5, 5)), np.zeros((5, 5)), np.zeros(3), k=0)
+        it = iterate_state(prob, np.zeros((5, 5)), np.zeros(3))
         pol.adjust_mid(prob, it, x_new, ss)
         assert ss.alpha == 1.0 and ss.theta == 1.0
         assert ss.beta == pytest.approx(1.0 / eps, rel=1e-15)
@@ -398,7 +453,7 @@ class TestTuningFreePolicy:
         pol = TuningFreePolicy(y_extrapolation="clamped")
         ss = pol.initial_state(prob)
         x_same = np.eye(5)
-        it = IterateState(x_same.copy(), x_same.copy(), np.zeros(3), k=0)
+        it = iterate_state(prob, x_same.copy(), np.zeros(3))
         pol.adjust_mid(prob, it, x_same, ss)
         assert ss.theta == TuningFreePolicy.theta_max
         assert ss.extra["tf_zero_denominator"] == 1
@@ -410,7 +465,7 @@ class TestTuningFreePolicy:
         ss = pol.initial_state(prob)
         x_cur = np.diag([2.0, 0.0, 0.0, 0.0, 0.0])
         x_new = np.diag([3.0, 0.0, 0.0, 0.0, 0.0])
-        it = IterateState(x_cur, x_cur.copy(), np.zeros(3), k=99)
+        it = iterate_state(prob, x_cur, np.zeros(3), k=99)
         alpha_before = ss.alpha
         pol.adjust_mid(prob, it, x_new, ss)
         assert ss.alpha == pytest.approx(2.0 * alpha_before, rel=1e-14)
@@ -422,7 +477,7 @@ class TestTuningFreePolicy:
         ss = pol.initial_state(prob)
         x_cur = np.diag([2.0, 0.0, 0.0, 0.0, 0.0])
         x_new = np.diag([3.0, 0.0, 0.0, 0.0, 0.0])
-        it = IterateState(x_cur, x_cur.copy(), np.zeros(3), k=99)
+        it = iterate_state(prob, x_cur, np.zeros(3), k=99)
         pol.adjust_mid(prob, it, x_new, ss)
         assert ss.theta == pytest.approx(3.0, rel=1e-14)
 
@@ -553,6 +608,142 @@ class TestSolveEngine:
             SolveConfig(max_iters=-1)
         with pytest.raises(ValueError):
             SolveConfig(tol=0.0)
+
+
+class TestSolveErrors:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_y0_raises_solve_error(self, bad):
+        prob = gen_random(1, n=6, m=4)
+        with pytest.raises(SolveError) as excinfo:
+            solve(prob, FixedPolicy(), SolveConfig(max_iters=5, y0=[bad, 0.0, 0.0, 0.0]))
+        trace = excinfo.value.trace
+        assert trace.status == "error"
+        assert trace.rows == []
+        np.testing.assert_array_equal(trace.X_final.to_dense(), np.zeros((6, 6)))
+
+    def test_projection_failure_keeps_completed_rows(self):
+        # iteration 2 hands an infinite primal stepsize to iteration 3, whose
+        # projection then fails on a non-finite matrix
+        prob = gen_random(1, n=6, m=4)
+        policy = SchedulePolicy([1.0, 1.0, 1.0, np.inf, 1.0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(SolveError) as excinfo:
+                solve(prob, policy, SolveConfig(max_iters=4, tol=1e-300))
+        trace = excinfo.value.trace
+        assert trace.status == "error"
+        assert [row.k for row in trace.rows] == [0, 1, 2]
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_flags_hold_only_event_counters(self, fail):
+        class SeededBalancing(BalancedResidualPolicy):
+            def initial_state(self, problem):
+                ss = super().initial_state(problem)
+                ss.extra["degenerate_cosine"] = 3
+                return ss
+
+            def _branch(self, *args):
+                if fail:
+                    raise RuntimeError("hook failed")
+                return 0
+
+        cfg = SolveConfig(max_iters=5, tol=1e-300)
+        if fail:
+            with pytest.raises(SolveError) as excinfo:
+                solve(small_rg(41), SeededBalancing(), cfg)
+            trace = excinfo.value.trace
+            assert trace.status == "error" and trace.iterations == 1
+        else:
+            trace = solve(small_rg(41), SeededBalancing(), cfg)
+        assert trace.flags == {"degenerate_cosine": 3}  # no policy-internal "eps"
+
+
+def every_policy(name):
+    if name == "schedule":
+        return SchedulePolicy(lambda k: 1.0 + 2.0 ** (-k))
+    return make_policy(name)
+
+
+ENGINE_POLICIES = POLICY_NAMES + ("schedule",)
+
+
+class TestOperatorApplications:
+    """The engine applies A once and A^T once per iteration, plus once each
+    at set-up; the linesearch's dual step adds its two A^T applications and
+    drops the engine's. No other hook applies an operator."""
+
+    ITERS = 25
+
+    @pytest.mark.parametrize("name", ENGINE_POLICIES)
+    def test_map_applications_per_iteration(self, name, monkeypatch):
+        policy = every_policy(name)
+        open_hooks: list[str] = []
+        total = [0]
+        in_hook: dict[str, int] = {}
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                total[0] += 1
+                if open_hooks:
+                    in_hook[open_hooks[-1]] = in_hook.get(open_hooks[-1], 0) + 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def tracking(hook, fn):
+            def wrapped(*args, **kwargs):
+                open_hooks.append(hook)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    open_hooks.pop()
+            return wrapped
+
+        maps = [attr for attr, obj in vars(solver_module).items()
+                if getattr(obj, "__module__", None) == "pdhgsdp.operators"
+                and callable(obj) and attr != "lambda_max_AAt"]
+        assert maps
+        for attr in maps:
+            monkeypatch.setattr(solver_module, attr, counting(getattr(solver_module, attr)))
+        for hook in ("adjust_mid", "dual_update", "adjust_post"):
+            monkeypatch.setattr(policy, hook, tracking(hook, getattr(policy, hook)))
+
+        trace = solve(gen_random(1, n=6, m=4), policy,
+                      SolveConfig(max_iters=self.ITERS, tol=1e-300))
+        assert trace.iterations == self.ITERS
+        per_iter = 3 if name == "ls" else 2
+        assert total[0] == per_iter * self.ITERS + 2
+        assert in_hook == ({"dual_update": 2 * self.ITERS} if name == "ls" else {})
+
+
+@pytest.mark.parametrize("make_problem", [lambda: small_rg(42, n=6, m=4), small_snl],
+                         ids=["rg", "snl"])
+@pytest.mark.parametrize("name", ENGINE_POLICIES)
+def test_trace_residuals_match_public_formula(name, make_problem):
+    prob = make_problem()
+    policy = every_policy(name)
+    states = []  # the engine's stepsize state, which the hooks update in place
+    alphas = []  # primal stepsize of each iteration
+    initial_state = policy.initial_state
+
+    def capture_state(problem):
+        states.append(initial_state(problem))
+        alphas.append(states[0].alpha)
+        return states[0]
+
+    policy.initial_state = capture_state
+    xs, ys = [np.zeros((prob.n, prob.n))], [np.zeros(prob.m)]
+
+    def record(k, x, y):
+        xs.append(x)
+        ys.append(y)
+        alphas.append(states[0].alpha)  # the next iteration's primal stepsize
+
+    trace = solve(prob, policy, SolveConfig(max_iters=100, tol=1e-300, callback=record))
+    assert trace.iterations > 0
+    for row in trace.rows:
+        k = row.k
+        rep = residuals(prob, xs[k], xs[k + 1], ys[k], ys[k + 1], alphas[k], row.beta)
+        assert row.p_norm == pytest.approx(rep.p_norm, rel=1e-9)
+        assert row.d_norm == pytest.approx(rep.d_norm, rel=1e-9)
 
 
 def test_make_policy_dispatch():
