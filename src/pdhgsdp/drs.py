@@ -26,13 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linalg import SymMat
-from .operators import (
-    LiftedOperator,
-    apply_A_dense,
-    apply_At_dense,
-    build_T,
-    lambda_max_AAt,
-)
+from .operators import LiftedOperator, adjoint, build_T, forward, lambda_max_AAt
 from .problems import SdpProblem
 from .projections import proj_psd_dense
 from .solver import SchedulePolicy, SolveConfig, default_stepsize_product, solve
@@ -72,9 +66,9 @@ def resolvent_g(
     resolvent is stepsize-free).
     """
     cmap = problem.constraints
-    resid = apply_A_dense(cmap, v) + lifted.apply(v_hat) - problem.b
+    resid = forward(cmap, v) + lifted.apply(v_hat) - problem.b
     w = lifted.R * resid
-    return v - apply_At_dense(cmap, w), v_hat - lifted.apply_t(w)
+    return v - adjoint(cmap, w), v_hat - lifted.apply_t(w)
 
 
 def drs_step(
@@ -166,7 +160,7 @@ def check_equivalence(
 
     a = policy.alpha_at
     state = LiftedState(
-        Z=x0_dense - a(0) * apply_At_dense(problem.constraints, y0_vec),
+        Z=x0_dense - a(0) * adjoint(problem.constraints, y0_vec),
         Z_hat=-a(0) * lifted.apply_t(y0_vec),
         k=1,
     )
@@ -177,7 +171,7 @@ def check_equivalence(
         f, _ = resolvent_f(state.Z, state.Z_hat, a(k - 1), problem)
         max_x = max(max_x, float(np.linalg.norm(f - x_hist[k])))
         state = drs_step(problem, lifted, state, a(k), a(k - 1))
-        z_ref = x_hist[k] - a(k) * apply_At_dense(problem.constraints, y_hist[k])
+        z_ref = x_hist[k] - a(k) * adjoint(problem.constraints, y_hist[k])
         z_hat_ref = -a(k) * lifted.apply_t(y_hist[k])
         max_z = max(
             max_z,

@@ -11,6 +11,7 @@ All generators are deterministic in their seed. The three families:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -18,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .linalg import SymMat
-from .operators import ConstraintMap, apply_A
+from .operators import ConstraintMap, adjoint, apply_A
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ def gen_random(seed: int, n: int = 50, m: int = 50) -> SdpProblem:
     y0 = rng.standard_normal(m)
     h = rng.standard_normal((n, n))
     s0 = SymMat.from_dense(h @ h.T + 0.1 * np.eye(n))
-    c = SymMat.from_dense(np.tensordot(y0, cmap.stack, axes=1) + s0.to_dense())
+    c = SymMat.from_dense(adjoint(cmap, y0) + s0.to_dense())
 
     meta = {"generator": "rg", "seed": seed, "X0": x0, "y0": y0, "S0": s0}
     return SdpProblem(C=c, constraints=cmap, b=b, meta=meta)
@@ -152,12 +153,8 @@ def gen_maxcut(
     lap = graph_laplacian(n, edges)
     c = SymMat.from_dense(-lap if negate_objective else lap)
 
-    mats = []
-    for i in range(n):
-        e = np.zeros((n, n))
-        e[i, i] = 1.0
-        mats.append(SymMat.from_dense(e))
-    cmap = ConstraintMap(tuple(mats))
+    diag = np.arange(n)
+    cmap = ConstraintMap.from_triples(n, n, diag, diag, diag, np.ones(n))
     b = np.ones(n)
     meta = {"generator": "mc", "seed": seed, "edges": tuple(edges),
             "negate_objective": negate_objective}
@@ -231,43 +228,39 @@ def gen_snl(
         )
 
     dim = p + n_sensors
-    mats: list[SymMat] = []
+    entries: list[tuple[int, int, int, float]] = []  # (constraint, i, j, value)
     rhs: list[float] = []
     xx_triples: list[tuple[int, int, float]] = []
     ax_triples: list[tuple[int, int, float]] = []
 
+    # ||x_i - x_j||^2 = Y_ii + Y_jj - 2 Y_ij
     for i, j in edges_xx:
         d = float(np.linalg.norm(sensors[i] - sensors[j]))
         xx_triples.append((i, j, d))
-        mat = np.zeros((dim, dim))
-        for a, b_ in ((i, i), (j, j)):
-            mat[p + a, p + b_] += 1.0
-        mat[p + i, p + j] -= 1.0
-        mat[p + j, p + i] -= 1.0
-        mats.append(SymMat.from_dense(mat))
+        row = len(rhs)
+        entries += [(row, p + i, p + i, 1.0), (row, p + j, p + j, 1.0),
+                    (row, p + i, p + j, -1.0)]
         rhs.append(d * d)
 
+    # ||a_k - x_j||^2 = v^T Z v for v = (a_k, -e_j)
     for k, j in edges_ax:
         d = float(np.linalg.norm(anchors[k] - sensors[j]))
         ax_triples.append((k, j, d))
-        v = np.zeros(dim)
-        v[:p] = anchors[k]
-        v[p + j] = -1.0
-        mats.append(SymMat.from_dense(np.outer(v, v)))
+        row = len(rhs)
+        a = anchors[k]
+        entries += [(row, s, t, float(a[s] * a[t])) for s in range(p) for t in range(s, p)]
+        entries += [(row, s, p + j, -float(a[s])) for s in range(p)]
+        entries.append((row, p + j, p + j, 1.0))
         rhs.append(d * d)
 
+    # the top-left p-by-p block of Z is the identity
     for s in range(p):
         for t in range(s, p):
-            mat = np.zeros((dim, dim))
-            if s == t:
-                mat[s, s] = 1.0
-            else:
-                mat[s, t] = 0.5
-                mat[t, s] = 0.5
-            mats.append(SymMat.from_dense(mat))
+            entries.append((len(rhs), s, t, 1.0 if s == t else 0.5))
             rhs.append(1.0 if s == t else 0.0)
 
-    cmap = ConstraintMap(tuple(mats))
+    con, ent_i, ent_j, vals = zip(*entries)
+    cmap = ConstraintMap.from_triples(len(rhs), dim, con, ent_i, ent_j, vals)
     problem = SdpProblem(
         C=SymMat.zeros(dim),
         constraints=cmap,
@@ -323,17 +316,14 @@ def write_instance(problem: SdpProblem, path) -> None:
         " ".join(_fmt(v) for v in problem.b),
     ]
 
-    def emit(matno: int, mat: SymMat) -> None:
-        dense = mat.to_dense()
-        for i in range(n):
-            for j in range(i, n):
-                v = dense[i, j]
-                if v != 0.0:
-                    lines.append(f"{matno} 1 {i + 1} {j + 1} {_fmt(v)}")
-
-    emit(0, problem.C)
-    for k, mat in enumerate(problem.constraints.mats):
-        emit(k + 1, mat)
+    # upper-triangle nonzeros, each matrix row-major, C first
+    iu, ju = np.triu_indices(n)
+    slots = np.flatnonzero(problem.C.packed)
+    c_entries = (np.zeros_like(slots), iu[slots], ju[slots], problem.C.packed[slots])
+    con, i, j, vals = problem.constraints.upper_triples()
+    for entries in (c_entries, (con + 1, i, j, vals)):
+        lines += [f"{k} 1 {r + 1} {c + 1} {_fmt(v)}"
+                  for k, r, c, v in zip(*(a.tolist() for a in entries))]
 
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -404,8 +394,9 @@ def read_instance(path) -> SdpProblem:
     except ValueError:
         raise SdpaFormatError(f"line {lineno}: non-numeric right-hand side")
 
-    size = n * (n + 1) // 2
-    packed = [np.zeros(size) for _ in range(m + 1)]
+    # (matno, i, j) -> value, 0-based in the upper triangle; an entry given
+    # twice keeps its last value
+    entries: dict[tuple[int, int, int], float] = {}
     while pos < len(raw):
         stripped = raw[pos].strip()
         pos += 1
@@ -431,10 +422,15 @@ def read_instance(path) -> SdpProblem:
             raise SdpaFormatError(f"line {lineno}: index ({i},{j}) outside block of size {n}")
         if i > j:
             i, j = j, i
-        row = i - 1
-        offset = row * n - row * (row - 1) // 2 + (j - i)
-        packed[matno][offset] = value
+        entries[(matno, i - 1, j - 1)] = value
 
-    c = SymMat(n, packed[0])
-    cmap = ConstraintMap(tuple(SymMat(n, pk) for pk in packed[1:]))
-    return SdpProblem(C=c, constraints=cmap, b=b, meta=meta)
+    keys = np.fromiter(itertools.chain.from_iterable(entries), np.int64, 3 * len(entries))
+    matno, i, j = keys.reshape(-1, 3).T
+    vals = np.fromiter(entries.values(), float, len(entries))
+    is_c = matno == 0
+    ci, cj = i[is_c], j[is_c]
+    packed = np.zeros(n * (n + 1) // 2)
+    packed[ci * n - ci * (ci - 1) // 2 + (cj - ci)] = vals[is_c]
+    cmap = ConstraintMap.from_triples(m, n, matno[~is_c] - 1, i[~is_c], j[~is_c],
+                                      vals[~is_c])
+    return SdpProblem(C=SymMat(n, packed), constraints=cmap, b=b, meta=meta)

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linalg import SymMat, frobenius_inner_dense
-from .operators import apply_A_dense, apply_At_dense, lambda_max_AAt
+from .operators import adjoint, forward, lambda_max_AAt
 from .problems import SdpProblem
 from .projections import ProjectionConfig, projector
 
@@ -175,8 +175,8 @@ def residuals(
         raise ValueError(f"stepsizes must be positive, got alpha={alpha}, beta={beta}")
     cmap = problem.constraints
     dx, dy = x_old - x_new, y_old - y_new
-    report, _ = _residual_report(dx, dy, apply_At_dense(cmap, dy),
-                                 apply_A_dense(cmap, dx), alpha, beta)
+    report, _ = _residual_report(dx, dy, adjoint(cmap, dy),
+                                 forward(cmap, dx), alpha, beta)
     return report
 
 
@@ -393,8 +393,8 @@ class LinesearchPolicy(StepsizePolicy):
     def dual_update(self, problem, it, x_new, ax_new, ss):
         u = ax_new - problem.b
         v = ax_new - it.AX
-        at_u = apply_At_dense(problem.constraints, u)
-        at_v = apply_At_dense(problem.constraints, v)
+        at_u = adjoint(problem.constraints, u)
+        at_v = adjoint(problem.constraints, v)
         alpha_prev = ss.alpha
         a = alpha_prev * math.sqrt(1.0 + ss.theta)
         sqrt_s = math.sqrt(self.s)
@@ -558,7 +558,7 @@ def solve(problem: SdpProblem, policy: StepsizePolicy,
     c_dense = problem.C.to_dense()
     proj = projector(config.proj, problem.n)
     x_cur, y = _dense_initial(problem, config)
-    ax, aty = apply_A_dense(cmap, x_cur), apply_At_dense(cmap, y)
+    ax, aty = forward(cmap, x_cur), adjoint(cmap, y)
 
     ss = policy.initial_state(problem)
     rows: list[TraceRow] = []
@@ -569,14 +569,14 @@ def solve(problem: SdpProblem, policy: StepsizePolicy,
         try:
             alpha_x = ss.alpha
             x_new = proj(x_cur - alpha_x * (aty + c_dense))
-            ax_new = apply_A_dense(cmap, x_new)
+            ax_new = forward(cmap, x_new)
             it = IterateState(X_cur=x_cur, y=y, AX=ax, Aty=aty, k=k)
             dual = policy.dual_update(problem, it, x_new, ax_new, ss)
             if dual is None:
                 policy.adjust_mid(problem, it, x_new, ss)
                 theta = ss.theta
                 y_new = y + ss.beta * ((1.0 + theta) * ax_new - theta * ax - b)
-                aty_new = apply_At_dense(cmap, y_new)
+                aty_new = adjoint(cmap, y_new)
             else:
                 y_new, aty_new = dual
 

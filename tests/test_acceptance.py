@@ -12,7 +12,7 @@ import pytest
 from pdhgsdp.bench import BenchConfig, run_bench
 from pdhgsdp.drs import check_equivalence, constant_schedule, geometric_schedule
 from pdhgsdp.linalg import SymMat
-from pdhgsdp.operators import ConstraintMap, build_T, gram, lambda_max_AAt
+from pdhgsdp.operators import ConstraintMap, apply_At, build_T, gram, lambda_max_AAt
 from pdhgsdp.problems import SdpProblem, gen_random, gen_snl, graph_laplacian
 from pdhgsdp.projections import approx_proj_psd, proj_psd
 from pdhgsdp.solver import (
@@ -163,8 +163,9 @@ def test_criterion_4_snl_feasibility_recovery():
     else:
         z = trace.X_final
         gaps = np.abs(
-            np.asarray([float(np.einsum("ij,ij->", m.to_dense(), z.to_dense()))
-                        for m in prob.constraints.mats]) - prob.b
+            np.asarray([float(np.einsum("ij,ij->", apply_At(prob.constraints, e).to_dense(),
+                                        z.to_dense()))
+                        for e in np.eye(prob.m)]) - prob.b
         )
         n_dist = len(truth.edges_xx) + len(truth.edges_ax)
         if gaps[:n_dist].max() > 1e-3:

@@ -11,7 +11,7 @@ from pdhgsdp.drs import (
     resolvent_g,
 )
 from pdhgsdp.linalg import SymMat
-from pdhgsdp.operators import apply_A_dense, build_T, gram, lambda_max_AAt
+from pdhgsdp.operators import apply_At, build_T, forward, gram, lambda_max_AAt
 from pdhgsdp.problems import gen_random
 from pdhgsdp.projections import proj_psd_dense
 
@@ -21,6 +21,11 @@ def setup_problem(seed=0, n=3, m=2):
     r = 0.9 / lambda_max_AAt(prob.constraints)
     lifted = build_T(prob.constraints, r)
     return prob, lifted
+
+
+def dense_stack(cmap):
+    """(m, n, n) stack of the constraint matrices, read as A^T(e_i)."""
+    return np.stack([apply_At(cmap, e).to_dense() for e in np.eye(cmap.m)])
 
 
 def rand_sym(rng, n):
@@ -78,7 +83,7 @@ class TestResolventG:
         for _ in range(10):
             v, v_hat = rand_sym(rng, 3), rng.standard_normal(9)
             g, g_hat = resolvent_g(v, v_hat, 0.3, prob, lifted)
-            resid = apply_A_dense(prob.constraints, g) + lifted.apply(g_hat) - prob.b
+            resid = forward(prob.constraints, g) + lifted.apply(g_hat) - prob.b
             assert np.linalg.norm(resid) < 1e-10
 
     def test_matches_kkt_least_squares_oracle(self):
@@ -87,7 +92,7 @@ class TestResolventG:
         v, v_hat = rand_sym(rng, 3), rng.standard_normal(9)
         g, g_hat = resolvent_g(v, v_hat, 0.3, prob, lifted)
         # dense normal-equations projection onto {B u = b}, B = [A | T]
-        big = np.hstack([prob.constraints.stack_flat, lifted.T])
+        big = np.hstack([dense_stack(prob.constraints).reshape(prob.m, -1), lifted.T])
         u = np.concatenate([v.ravel(), v_hat])
         w = np.linalg.solve(big @ big.T, big @ u - prob.b)
         u_proj = u - big.T @ w
@@ -174,9 +179,9 @@ class TestDrsStep:
         f_hat = np.zeros(9)
         v = f + theta * (f - z)
         v_hat = f_hat + theta * (f_hat - z_hat)
-        resid = apply_A_dense(prob.constraints, v) + lifted.T @ v_hat - prob.b
+        resid = forward(prob.constraints, v) + lifted.T @ v_hat - prob.b
         w = lifted.R * resid
-        g_mat = v - np.tensordot(w, prob.constraints.stack, axes=1)
+        g_mat = v - np.tensordot(w, dense_stack(prob.constraints), axes=1)
         g_hat = v_hat - lifted.T.T @ w
         np.testing.assert_allclose(state.Z, g_mat + theta * (z - f), atol=1e-12)
         np.testing.assert_allclose(state.Z_hat, g_hat + theta * (z_hat - f_hat),

@@ -1,22 +1,27 @@
 import numpy as np
 import pytest
 
+import pdhgsdp.operators as operators_module
 from pdhgsdp.linalg import SymMat, frobenius_inner
 from pdhgsdp.operators import (
     ConstraintMap,
     apply_A,
+    adjoint,
     apply_At,
-    apply_At_dense,
     build_T,
+    forward,
     gram,
     lambda_max_AAt,
 )
+from pdhgsdp.problems import gen_maxcut, gen_random, gen_snl
+
+
+def random_mats(rng, m, n) -> tuple[SymMat, ...]:
+    return tuple(SymMat.from_dense(rng.standard_normal((n, n))) for _ in range(m))
 
 
 def random_map(rng, m, n) -> ConstraintMap:
-    return ConstraintMap(tuple(
-        SymMat.from_dense(rng.standard_normal((n, n))) for _ in range(m)
-    ))
+    return ConstraintMap(random_mats(rng, m, n))
 
 
 def maxcut_map(n) -> ConstraintMap:
@@ -52,9 +57,10 @@ class TestApplyA:
 class TestApplyAt:
     def test_unit_vector_selects_matrix(self):
         rng = np.random.default_rng(2)
-        cmap = random_map(rng, 3, 4)
+        mats = random_mats(rng, 3, 4)
+        cmap = ConstraintMap(mats)
         out = apply_At(cmap, np.array([1.0, 0.0, 0.0]))
-        np.testing.assert_array_equal(out.to_dense(), cmap.mats[0].to_dense())
+        np.testing.assert_array_equal(out.to_dense(), mats[0].to_dense())
 
     def test_zero_vector(self):
         rng = np.random.default_rng(3)
@@ -94,11 +100,12 @@ class TestGram:
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(5)
-        cmap = random_map(rng, 4, 3)
+        mats = random_mats(rng, 4, 3)
+        cmap = ConstraintMap(mats)
         oracle = np.empty((4, 4))
         for i in range(4):
             for j in range(4):
-                oracle[i, j] = frobenius_inner(cmap.mats[i], cmap.mats[j])
+                oracle[i, j] = frobenius_inner(mats[i], mats[j])
         np.testing.assert_allclose(gram(cmap), oracle, rtol=1e-12)
 
     def test_gram_psd(self):
@@ -124,11 +131,11 @@ class TestLambdaMax:
         x = x + x.T
         lam = 0.0
         for _ in range(5000):
-            ax = cmap.stack_flat @ x.ravel()
-            x_next = apply_At_dense(cmap, ax)
+            ax = forward(cmap, x)
+            x_next = adjoint(cmap, ax)
             nrm = np.linalg.norm(x_next)
             x = x_next / nrm
-            lam_new = float((cmap.stack_flat @ x.ravel()) @ (cmap.stack_flat @ x.ravel()))
+            lam_new = float(forward(cmap, x) @ forward(cmap, x))
             if abs(lam_new - lam) < 1e-12 * max(1.0, lam_new):
                 lam = lam_new
                 break
@@ -181,3 +188,153 @@ def test_constraint_map_validation():
         ConstraintMap(())
     with pytest.raises(ValueError):
         ConstraintMap((SymMat.identity(2), SymMat.identity(3)))
+
+
+# --- stored forms ------------------------------------------------------------
+
+
+def random_triples(rng, m, n, count):
+    """Random entries with repeated (i, j) pairs, both triangles named, and
+    explicit zeros."""
+    con = rng.integers(0, m, size=count)
+    i = rng.integers(0, n, size=count)
+    j = rng.integers(0, n, size=count)
+    vals = rng.standard_normal(count)
+    vals[::7] = 0.0
+    # repeat a few entries, some with the triangle swapped
+    con = np.concatenate([con, con[:5], con[5:9]])
+    i, j = np.concatenate([i, i[:5], j[5:9]]), np.concatenate([j, j[:5], i[5:9]])
+    return con, i, j, np.concatenate([vals, rng.standard_normal(9)])
+
+
+def oracle_stack(m, n, con, i, j, vals) -> np.ndarray:
+    """(m, n, n) stack with every entry added at (i, j) and at (j, i)."""
+    stack = np.zeros((m, n, n))
+    off = i != j
+    np.add.at(stack, (con, i, j), vals)
+    np.add.at(stack, (con[off], j[off], i[off]), vals[off])
+    return stack
+
+
+def forced(form, monkeypatch, build):
+    """Build a map with the dense/sparse choice forced to ``form``."""
+    monkeypatch.setattr(operators_module, "_DENSE_ABOVE", -1.0 if form == "dense" else 2.0)
+    cmap = build()
+    monkeypatch.undo()
+    assert (cmap.coo is None) == (form == "dense")
+    return cmap
+
+
+FORMS = ("dense", "coo")
+
+
+class TestStoredForms:
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("m,n,count", [(4, 5, 12), (7, 9, 40), (3, 4, 60)])
+    def test_matches_dense_stack_oracle(self, form, m, n, count, monkeypatch):
+        rng = np.random.default_rng(m * 100 + n)
+        entries = random_triples(rng, m, n, count)
+        stack = oracle_stack(m, n, *entries)
+        cmap = forced(form, monkeypatch, lambda: ConstraintMap.from_triples(m, n, *entries))
+        flat = stack.reshape(m, -1)
+        for _ in range(5):
+            x = rng.standard_normal((n, n))
+            y = rng.standard_normal(m)
+            np.testing.assert_allclose(forward(cmap, x), flat @ x.ravel(),
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(adjoint(cmap, y), np.tensordot(y, stack, axes=1),
+                                       rtol=1e-12, atol=1e-12)
+        for r in range(m):
+            np.testing.assert_allclose(apply_At(cmap, np.eye(m)[r]).to_dense(), stack[r],
+                                       rtol=1e-15)
+        np.testing.assert_allclose(gram(cmap), flat @ flat.T, rtol=1e-12, atol=1e-12)
+        lam = np.linalg.eigvalsh(flat @ flat.T)[-1]
+        assert lambda_max_AAt(cmap) == pytest.approx(lam, rel=1e-12)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_adjoint_exactly_symmetric(self, form, monkeypatch):
+        rng = np.random.default_rng(11)
+        for m, n in [(3, 4), (6, 7), (20, 12)]:
+            cmap = forced(form, monkeypatch, lambda: random_map(rng, m, n))
+            for _ in range(5):
+                at_y = adjoint(cmap, rng.standard_normal(m))
+                assert np.array_equal(at_y, at_y.T)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_upper_triples_round_trip(self, form, monkeypatch):
+        rng = np.random.default_rng(12)
+        m, n = 5, 6
+        entries = random_triples(rng, m, n, 30)
+        cmap = forced(form, monkeypatch, lambda: ConstraintMap.from_triples(m, n, *entries))
+        con, i, j, vals = cmap.upper_triples()
+        assert np.all(i <= j) and np.all(vals != 0.0)
+        keys = (con * n + i) * n + j
+        assert np.all(np.diff(keys) > 0)  # by constraint, then row-major, no repeats
+        np.testing.assert_allclose(oracle_stack(m, n, con, i, j, vals),
+                                   oracle_stack(m, n, *entries), rtol=1e-15)
+
+    def test_mats_and_triples_build_the_same_map(self):
+        rng = np.random.default_rng(13)
+        # diagonal matrices with about two nonzeros in 210 slots each
+        sparse = tuple(SymMat.diag(rng.standard_normal(20) * (rng.random(20) < 0.1))
+                       for _ in range(15))
+        for mats, dense in ((random_mats(rng, 4, 6), True), (sparse, False)):
+            from_mats = ConstraintMap(mats)
+            m, n = from_mats.m, from_mats.n
+            from_triples = ConstraintMap.from_triples(m, n, *from_mats.upper_triples())
+            assert (from_mats.coo is None) == (from_triples.coo is None) == dense
+            if from_mats.coo is None:
+                np.testing.assert_array_equal(from_mats.dense, from_triples.dense)
+            else:
+                for a, b in zip(from_mats.coo, from_triples.coo):
+                    np.testing.assert_array_equal(a, b)
+
+    def test_random_map_is_dense_and_sparse_families_hold_no_matrix(self):
+        rg = gen_random(1, n=20, m=10).constraints
+        assert rg.coo is None and rg.dense.shape == (10, 400)
+        mc = gen_maxcut(1, n=20, m_edges=30).constraints
+        snl = gen_snl(1)[0].constraints
+        for cmap in (mc, snl):
+            assert cmap.dense is None and cmap.coo is not None
+
+    def test_from_triples_validation(self):
+        with pytest.raises(ValueError):
+            ConstraintMap.from_triples(0, 2, [], [], [], [])
+        with pytest.raises(ValueError):
+            ConstraintMap.from_triples(1, 2, [0], [0], [0, 1], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            ConstraintMap.from_triples(1, 2, [1], [0], [0], [1.0])
+        with pytest.raises(ValueError):
+            ConstraintMap.from_triples(1, 2, [0], [0], [2], [1.0])
+        empty = ConstraintMap.from_triples(2, 3, [], [], [], [])
+        np.testing.assert_array_equal(forward(empty, np.ones((3, 3))), np.zeros(2))
+        assert lambda_max_AAt(empty) == 0.0
+
+
+class TestLambdaMaxBranches:
+    def test_cached_on_the_map(self, monkeypatch):
+        cmap = random_map(np.random.default_rng(14), 4, 5)
+        calls = []
+        real_gram = operators_module.gram
+        monkeypatch.setattr(operators_module, "gram",
+                            lambda c: calls.append(1) or real_gram(c))
+        first = lambda_max_AAt(cmap)
+        assert lambda_max_AAt(cmap) == first
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("limit", [2000, 0])
+    def test_gram_and_power_iteration_against_eigvalsh(self, form, limit, monkeypatch):
+        rng = np.random.default_rng(15)
+        m, n = 12, 6
+        entries = random_triples(rng, m, n, 50)
+        flat = oracle_stack(m, n, *entries).reshape(m, -1)
+        exact = np.linalg.eigvalsh(flat @ flat.T)[-1]
+        cmap = forced(form, monkeypatch, lambda: ConstraintMap.from_triples(m, n, *entries))
+        monkeypatch.setattr(operators_module, "_GRAM_EIG_LIMIT", limit)
+        lam = lambda_max_AAt(cmap)
+        if limit >= m:
+            assert lam == pytest.approx(exact, rel=1e-12)
+        else:
+            # power iteration: inflated so that it stays an upper bound
+            assert exact <= lam <= exact * (1.0 + 2e-6)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pdhgsdp.linalg import SymMat
-from pdhgsdp.operators import apply_A, lambda_max_AAt
+from pdhgsdp.operators import apply_A, apply_At, lambda_max_AAt
 from pdhgsdp.problems import (
     SdpaFormatError,
     SdpProblem,
@@ -13,6 +13,11 @@ from pdhgsdp.problems import (
     read_instance,
     write_instance,
 )
+
+
+def dense_mats(cmap) -> np.ndarray:
+    """(m, n, n) stack of the constraint matrices, read as A^T(e_i)."""
+    return np.stack([apply_At(cmap, e).to_dense() for e in np.eye(cmap.m)])
 
 
 class TestGenRandom:
@@ -28,7 +33,7 @@ class TestGenRandom:
     def test_dual_slack_positive_definite(self):
         prob = gen_random(4, n=8, m=5)
         slack = prob.C.to_dense() - sum(
-            yi * a.to_dense() for yi, a in zip(prob.meta["y0"], prob.constraints.mats)
+            yi * a for yi, a in zip(prob.meta["y0"], dense_mats(prob.constraints))
         )
         assert np.linalg.eigvalsh(slack)[0] > 0.0
 
@@ -37,8 +42,7 @@ class TestGenRandom:
         b = gen_random(7, n=6, m=4)
         assert np.array_equal(a.C.packed, b.C.packed)
         assert np.array_equal(a.b, b.b)
-        for ma, mb in zip(a.constraints.mats, b.constraints.mats):
-            assert np.array_equal(ma.packed, mb.packed)
+        assert np.array_equal(dense_mats(a.constraints), dense_mats(b.constraints))
         c = gen_random(8, n=6, m=4)
         assert not np.array_equal(a.b, c.b)
 
@@ -72,10 +76,10 @@ class TestGenMaxcut:
         prob = gen_maxcut(2, n=5, m_edges=4)
         assert prob.m == 5
         np.testing.assert_array_equal(prob.b, np.ones(5))
-        for i, mat in enumerate(prob.constraints.mats):
+        for i, mat in enumerate(dense_mats(prob.constraints)):
             expected = np.zeros((5, 5))
             expected[i, i] = 1.0
-            np.testing.assert_array_equal(mat.to_dense(), expected)
+            np.testing.assert_array_equal(mat, expected)
 
     def test_gram_is_identity(self):
         prob = gen_maxcut(3, n=6, m_edges=5)
@@ -141,7 +145,49 @@ class TestGenSnl:
             gen_snl(1, radius=0.0)
 
 
+def entrywise_sdpa_text(problem: SdpProblem) -> str:
+    """SDPA text written the way the writer once did it: a loop over the upper
+    triangle of every dense matrix, skipping zeros. Kept as the reference."""
+    n = problem.n
+    lines = [
+        f"*{problem.meta.get('generator', 'custom')} seed={problem.meta.get('seed', 0)}",
+        str(problem.m), "1", str(n), " ".join(repr(float(v)) for v in problem.b),
+    ]
+    mats = [problem.C.to_dense(), *dense_mats(problem.constraints)]
+    for matno, dense in enumerate(mats):
+        for i in range(n):
+            for j in range(i, n):
+                v = dense[i, j]
+                if v != 0.0:
+                    lines.append(f"{matno} 1 {i + 1} {j + 1} {repr(float(v))}")
+    return "\n".join(lines) + "\n"
+
+
+WRITER_CASES = {
+    "rg": lambda: gen_random(12, n=6, m=4),
+    "mc": lambda: gen_maxcut(12, n=9, m_edges=12, negate_objective=True),
+    "snl-dense": lambda: gen_snl(12, m_anchors=3, n_sensors=5, radius=0.9, degree=4)[0],
+    "snl-sparse": lambda: gen_snl(12, m_anchors=4, n_sensors=15, radius=0.5, degree=3)[0],
+}
+
+
 class TestSdpaRoundTrip:
+    @pytest.mark.parametrize("case", sorted(WRITER_CASES))
+    def test_writer_matches_entrywise_loop(self, case, tmp_path):
+        prob = WRITER_CASES[case]()
+        path = tmp_path / "out.dat-s"
+        write_instance(prob, path)
+        assert path.read_text() == entrywise_sdpa_text(prob)
+        again = tmp_path / "again.dat-s"
+        write_instance(read_instance(path), again)
+        assert again.read_text() == path.read_text()
+
+    def test_repeated_entry_keeps_last_value(self, tmp_path):
+        path = tmp_path / "repeat.dat-s"
+        path.write_text("1\n1\n2\n1.0\n1 1 1 2 5.0\n1 1 2 1 3.0\n1 1 2 2 4.0\n1 1 2 2 0.0\n")
+        prob = read_instance(path)
+        np.testing.assert_array_equal(dense_mats(prob.constraints)[0], [[0.0, 3.0], [3.0, 0.0]])
+
     def test_maxcut_round_trip(self, tmp_path):
         prob = gen_maxcut(1, n=4, m_edges=3)
         path = tmp_path / "mc.dat-s"
@@ -149,8 +195,7 @@ class TestSdpaRoundTrip:
         back = read_instance(path)
         assert np.array_equal(back.C.packed, prob.C.packed)
         assert np.array_equal(back.b, prob.b)
-        for ma, mb in zip(back.constraints.mats, prob.constraints.mats):
-            assert np.array_equal(ma.packed, mb.packed)
+        assert np.array_equal(dense_mats(back.constraints), dense_mats(prob.constraints))
         assert back.meta["generator"] == "mc"
         assert back.meta["seed"] == 1
 
@@ -161,8 +206,7 @@ class TestSdpaRoundTrip:
         back = read_instance(path)
         assert np.array_equal(back.C.packed, prob.C.packed)
         assert np.array_equal(back.b, prob.b)
-        for ma, mb in zip(back.constraints.mats, prob.constraints.mats):
-            assert np.array_equal(ma.packed, mb.packed)
+        assert np.array_equal(dense_mats(back.constraints), dense_mats(prob.constraints))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.dat-s"
@@ -187,7 +231,7 @@ class TestSdpaRoundTrip:
         prob = read_instance(path)
         assert prob.n == 2 and prob.m == 1
         np.testing.assert_array_equal(prob.C.to_dense(), [[1.0, 2.0], [2.0, 0.0]])
-        np.testing.assert_array_equal(prob.constraints.mats[0].to_dense(), np.eye(2))
+        np.testing.assert_array_equal(dense_mats(prob.constraints)[0], np.eye(2))
         np.testing.assert_array_equal(prob.b, [3.0])
 
     @pytest.mark.parametrize("body,what", [

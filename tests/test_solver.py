@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import pdhgsdp.solver as solver_module
+from pdhgsdp.drs import check_equivalence, geometric_schedule
 from pdhgsdp.linalg import SymMat
-from pdhgsdp.operators import ConstraintMap, apply_A, apply_A_dense, apply_At_dense
+from pdhgsdp.operators import ConstraintMap, adjoint, apply_A, apply_At, forward
 from pdhgsdp.problems import SdpProblem, gen_maxcut, gen_random, gen_snl
 from pdhgsdp.projections import proj_psd
 from pdhgsdp.solver import (
@@ -49,8 +50,8 @@ def random_sym(rng, n):
 def iterate_state(prob, x_cur, y, k=0):
     """IterateState with the map products the engine would have cached."""
     cmap = prob.constraints
-    return IterateState(X_cur=x_cur, y=y, AX=apply_A_dense(cmap, x_cur),
-                        Aty=apply_At_dense(cmap, y), k=k)
+    return IterateState(X_cur=x_cur, y=y, AX=forward(cmap, x_cur),
+                        Aty=adjoint(cmap, y), k=k)
 
 
 class ConstantSteps(StepsizePolicy):
@@ -95,7 +96,7 @@ class TestXUpdate:
         y = rng.standard_normal(3)
         alpha = 0.3
         step = x - alpha * (
-            apply_At_dense(prob.constraints, y) + prob.C.to_dense()
+            adjoint(prob.constraints, y) + prob.C.to_dense()
         )
         oracle = proj_psd(SymMat.from_dense(step)).to_dense()
         out, _ = one_step(prob, x, y, alpha)
@@ -127,7 +128,7 @@ class TestYUpdate:
         x_cur = random_sym(rng, 5)
         y = rng.standard_normal(3)
         x_new, y_new = one_step(prob, x_cur, y, alpha=0.2, beta=0.25, theta=0.0)
-        v = apply_A_dense(prob.constraints, x_new) - prob.b
+        v = forward(prob.constraints, x_new) - prob.b
         np.testing.assert_allclose(y_new, y + 0.25 * v, rtol=1e-12)
 
     def test_linear_in_beta(self):
@@ -168,7 +169,7 @@ class TestResiduals:
         y_old, y_new = rng.standard_normal(3), rng.standard_normal(3)
         alpha, beta = 0.37, 0.81
         rep = residuals(prob, x_old, x_new, y_old, y_new, alpha, beta)
-        stacks = prob.constraints.stack
+        stacks = np.stack([apply_At(prob.constraints, e).to_dense() for e in np.eye(prob.m)])
         p_ref = (x_old - x_new) / alpha - np.tensordot(y_old - y_new, stacks, axes=1)
         d_ref = (y_old - y_new) / beta - np.einsum(
             "kij,ij->k", stacks, x_old - x_new
@@ -303,7 +304,7 @@ class TestGradientAlignmentPolicy:
         it = iterate_state(prob, dx.copy(), np.zeros(2))
         y_new = -np.asarray(delta_y, dtype=float)  # so y_old - y_new = delta_y
         # the engine's primal residual matrix, here with alpha = 1
-        p_mat = (it.X_cur - x_new) - apply_At_dense(prob.constraints, it.y - y_new)
+        p_mat = (it.X_cur - x_new) - adjoint(prob.constraints, it.y - y_new)
         pol.adjust_post(prob, it, x_new, p_mat, 1.0,
                         ResidualReport(1.0, 1.0, 2.0), ss)
         return ss
@@ -360,7 +361,7 @@ class TestLinesearchPolicy:
         ss = pol.initial_state(prob)
         it = iterate_state(prob, np.zeros((3, 3)), np.zeros(1))
         x_new = np.eye(3)
-        y, aty = pol.dual_update(prob, it, x_new, apply_A_dense(prob.constraints, x_new), ss)
+        y, aty = pol.dual_update(prob, it, x_new, forward(prob.constraints, x_new), ss)
         # first trial: alpha = alpha0 * sqrt(1 + theta0) = sqrt(2)
         assert ss.alpha == pytest.approx(np.sqrt(2.0), rel=1e-15)
         assert ss.beta == pytest.approx(2.0 * ss.alpha, rel=1e-15)
@@ -378,11 +379,11 @@ class TestLinesearchPolicy:
         x_new = random_sym(rng, 4)
         x_cur = random_sym(rng, 4)
         it = iterate_state(prob, x_cur, rng.standard_normal(4), k=1)
-        y, aty = pol.dual_update(prob, it, x_new, apply_A_dense(prob.constraints, x_new), ss)
+        y, aty = pol.dual_update(prob, it, x_new, forward(prob.constraints, x_new), ss)
         # the returned adjoint product is A^T of the accepted dual iterate
-        np.testing.assert_allclose(aty, apply_At_dense(prob.constraints, y), atol=1e-12)
+        np.testing.assert_allclose(aty, adjoint(prob.constraints, y), atol=1e-12)
         theta = ss.theta
-        expected = it.y + ss.beta * ((1.0 + theta) * apply_A_dense(prob.constraints, x_new)
+        expected = it.y + ss.beta * ((1.0 + theta) * forward(prob.constraints, x_new)
                                      - theta * it.AX - prob.b)
         np.testing.assert_allclose(y, expected, rtol=1e-12)
         assert ss.alpha <= 1.0 / np.sqrt(s) + 1e-12
@@ -407,7 +408,7 @@ class TestLinesearchPolicy:
         rng = np.random.default_rng(21)
         x_new = random_sym(rng, 4)
         it = iterate_state(prob, np.zeros((4, 4)), rng.standard_normal(4))
-        pol.dual_update(prob, it, x_new, apply_A_dense(prob.constraints, x_new), ss)
+        pol.dual_update(prob, it, x_new, forward(prob.constraints, x_new), ss)
         assert ss.alpha == pytest.approx(1.5 * mu * mu, rel=1e-12)
 
     def test_stall_raises(self):
@@ -418,7 +419,7 @@ class TestLinesearchPolicy:
         x_new = random_sym(rng, 4)
         it = iterate_state(prob, np.zeros((4, 4)), rng.standard_normal(4))
         with pytest.raises(LinesearchStalled):
-            pol.dual_update(prob, it, x_new, apply_A_dense(prob.constraints, x_new), ss)
+            pol.dual_update(prob, it, x_new, forward(prob.constraints, x_new), ss)
 
     def test_stall_inside_solve_carries_trace(self):
         prob = gen_maxcut(4, n=4, m_edges=3)
@@ -754,3 +755,53 @@ def test_make_policy_dispatch():
     assert make_policy("tf").name == "tf"
     with pytest.raises(ValueError):
         make_policy("nope")
+
+
+def old_dense_formula(prob):
+    """forward/adjoint as the dense-stack GEMV every map used before it was
+    stored in one form, from a stack built here."""
+    stack = np.stack([apply_At(prob.constraints, e).to_dense() for e in np.eye(prob.m)])
+    flat = stack.reshape(prob.m, -1)
+    return (lambda cmap, x: flat @ x.ravel(),
+            lambda cmap, y: np.tensordot(y, stack, axes=1))
+
+
+# small instances of each family, with the form their maps are stored in
+PARITY_PROBLEMS = {
+    "rg": (lambda: small_rg(43, n=6, m=4), "dense"),
+    "mc": (lambda: gen_maxcut(2, n=8, m_edges=10), "coo"),
+    "snl": (lambda: gen_snl(1, m_anchors=4, n_sensors=15, radius=0.5, degree=3)[0], "coo"),
+    "snl-small": (small_snl, "dense"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PARITY_PROBLEMS))
+@pytest.mark.parametrize("name", ENGINE_POLICIES)
+def test_iterates_match_old_dense_formula(name, family, monkeypatch):
+    make, form = PARITY_PROBLEMS[family]
+    prob = make()
+    assert (prob.constraints.coo is None) == (form == "dense")
+
+    def run():
+        xs, ys = [], []
+        solve(prob, every_policy(name), SolveConfig(
+            max_iters=100, tol=1e-300,
+            callback=lambda k, x, y: (xs.append(x.copy()), ys.append(y.copy()))))
+        return xs, ys
+
+    xs, ys = run()
+    forward_old, adjoint_old = old_dense_formula(prob)
+    monkeypatch.setattr(solver_module, "forward", forward_old)
+    monkeypatch.setattr(solver_module, "adjoint", adjoint_old)
+    xs_old, ys_old = run()
+    assert len(xs) == len(xs_old) == 100
+    for got, want in zip(xs + ys, xs_old + ys_old):
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("family", ["mc", "snl"])
+def test_drs_certificate_on_sparse_maps(family):
+    prob = PARITY_PROBLEMS[family][0]()
+    assert prob.constraints.dense is None
+    report = check_equivalence(prob, geometric_schedule(), iters=60)
+    assert report.max_x_defect < 1e-8 and report.max_z_defect < 1e-8
