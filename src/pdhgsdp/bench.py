@@ -10,7 +10,6 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from .problems import SdpProblem, gen_maxcut, gen_random, gen_snl
-from .projections import ProjectionConfig
 from .solver import (
     POLICY_NAMES,
     RunTrace,
@@ -63,7 +62,6 @@ class BenchConfig:
     tol: float = 1e-6
     sizes: Mapping[str, dict] = field(default_factory=dict)
     policy_params: Mapping[str, dict] = field(default_factory=dict)
-    proj: ProjectionConfig = ProjectionConfig()
 
     def __post_init__(self):
         for family in self.families:
@@ -168,7 +166,7 @@ def run_bench(
 
 
 def _run_one(problem, policy, max_iters, config) -> tuple[RunTrace, str | None]:
-    cfg = SolveConfig(max_iters=max_iters, tol=config.tol, proj=config.proj)
+    cfg = SolveConfig(max_iters=max_iters, tol=config.tol)
     try:
         return solve(problem, policy, cfg), None
     except SolveError as exc:

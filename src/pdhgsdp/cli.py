@@ -24,20 +24,7 @@ from . import bench as bench_mod
 from .drs import check_equivalence, constant_schedule, geometric_schedule
 from .operators import build_T, gram, lambda_max_AAt
 from .problems import gen_maxcut, gen_random, gen_snl, read_instance
-from .projections import ProjectionConfig
 from .solver import POLICY_NAMES, SolveConfig, SolveError, make_policy, solve
-
-
-def _parse_proj(text: str) -> ProjectionConfig:
-    if text == "full":
-        return ProjectionConfig(mode="exact")
-    if text.startswith("rank:"):
-        return ProjectionConfig(mode="truncated", r=int(text[5:]))
-    if text == "rank":
-        return ProjectionConfig(mode="truncated")
-    raise argparse.ArgumentTypeError(
-        f"projection must be 'full', 'rank' or 'rank:<r>', got {text!r}"
-    )
 
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
@@ -93,7 +80,7 @@ def _problem_from_args(args):
 def cmd_solve(args) -> int:
     problem = _problem_from_args(args)
     policy = _policy_from_args(args)
-    config = SolveConfig(max_iters=args.max_iters, tol=args.tol, proj=args.proj)
+    config = SolveConfig(max_iters=args.max_iters, tol=args.tol)
     try:
         trace = solve(problem, policy, config)
     except SolveError as exc:
@@ -213,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--max-iters", type=int, default=10000)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--proj", type=_parse_proj, default=ProjectionConfig(),
-                   help="full (default) or rank:<r>")
     p.add_argument("--out", default="trace.csv")
     p.add_argument("--n", type=int, default=None, help="override instance n")
     p.add_argument("--m", type=int, default=None,

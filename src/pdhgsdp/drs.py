@@ -29,7 +29,7 @@ from .linalg import SymMat
 from .operators import LiftedOperator, adjoint, build_T, forward, lambda_max_AAt
 from .problems import SdpProblem
 from .projections import proj_psd_dense
-from .solver import SchedulePolicy, SolveConfig, default_stepsize_product, solve
+from .solver import SchedulePolicy, SolveConfig, _dense_initial, default_stepsize_product, solve
 
 
 @dataclass
@@ -116,7 +116,7 @@ def check_equivalence(
     iters: int,
     tol: float = 1e-8,
     break_product: bool = False,
-    X0: SymMat | None = None,
+    X0: SymMat | np.ndarray | None = None,
     y0: np.ndarray | None = None,
 ) -> EquivalenceReport:
     """Run the PDHG engine and the splitting oracle side by side.
@@ -153,8 +153,7 @@ def check_equivalence(
                          callback=record)
     solve(problem, policy, config)
 
-    x0_dense = np.zeros((problem.n, problem.n)) if X0 is None else X0.to_dense()
-    y0_vec = np.zeros(problem.m) if y0 is None else np.asarray(y0, dtype=float)
+    x0_dense, y0_vec = _dense_initial(problem, config)
     x_hist.insert(0, x0_dense)
     y_hist.insert(0, y0_vec)
 

@@ -1,25 +1,19 @@
 """Dense symmetric-matrix primitives.
 
-Canonical symmetric storage, the Frobenius pairing, full symmetric
-eigendecomposition, and a Lanczos routine for the algebraically largest
-eigenpairs of a matrix-free symmetric operator.
+Canonical symmetric storage, the Frobenius pairing, and full symmetric
+eigendecomposition.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 
 class EigenError(RuntimeError):
-    """Eigensolver failure. ``partial`` carries whatever state was computed."""
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Eigensolver failure."""
 
 
 # Per-dimension caches: (rows, cols) of the upper triangle and the weight
@@ -171,97 +165,3 @@ def sym_eig(m: SymMat) -> SpectralDecomp:
         raise EigenError(f"symmetric eigendecomposition failed: {exc}") from exc
     # eigh returns ascending order; flip to descending (stable reversal)
     return SpectralDecomp(vals[::-1].copy(), vecs[:, ::-1].copy(), m.n)
-
-
-def _tridiag_eig(alphas: list[float], betas: list[float]):
-    k = len(alphas)
-    t = np.diag(np.asarray(alphas))
-    if k > 1:
-        off = np.asarray(betas[: k - 1])
-        t += np.diag(off, 1) + np.diag(off, -1)
-    return np.linalg.eigh(t)
-
-
-def lanczos_top_r(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    r: int,
-    tol: float = 1e-9,
-    max_restarts: int | None = None,
-    seed: int = 0,
-) -> SpectralDecomp:
-    """Top-r eigenpairs of a symmetric operator given via matrix-vector
-    products.
-
-    Lanczos with full reorthogonalization. Ritz pairs are accepted once the
-    residual bound |beta_k * s_k| falls below ``tol * max(1, |ritz_1|)`` for
-    each of the r largest pairs; a breakdown (vanishing Lanczos vector, i.e.
-    an exhausted invariant subspace) is handled by continuing with a fresh
-    random vector orthogonalized against the basis.
-    """
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    if max_restarts is None:
-        max_restarts = max(5, n)
-    rng = np.random.default_rng(seed)
-
-    basis = np.empty((n, n))
-    alphas: list[float] = []
-    betas: list[float] = []
-    restarts = 0
-
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    basis[:, 0] = q
-
-    j = 0
-    while True:
-        w = np.asarray(matvec(basis[:, j]), dtype=float)
-        alphas.append(float(basis[:, j] @ w))
-        w = w - alphas[j] * basis[:, j]
-        if j > 0:
-            w = w - betas[j - 1] * basis[:, j - 1]
-        # full reorthogonalization, two passes
-        for _ in range(2):
-            w -= basis[:, : j + 1] @ (basis[:, : j + 1].T @ w)
-        bnorm = float(np.linalg.norm(w))
-        k = j + 1
-
-        if k >= r:
-            vals, vecs = _tridiag_eig(alphas, betas)
-            top_resid = np.abs(bnorm * vecs[-1, k - r :])
-            scale = max(1.0, abs(float(vals[-1])))
-            if k == n or np.all(top_resid <= tol * scale):
-                break
-
-        if bnorm <= 1e-13 * max(1.0, abs(alphas[j])):
-            # invariant subspace exhausted: continue from a fresh direction
-            while True:
-                restarts += 1
-                if restarts > max_restarts:
-                    partial = _ritz_pairs(basis, alphas, betas, min(r, k))
-                    raise EigenError(
-                        f"Lanczos exceeded {max_restarts} restarts", partial=partial
-                    )
-                w = rng.standard_normal(n)
-                w -= basis[:, :k] @ (basis[:, :k].T @ w)
-                bnorm = float(np.linalg.norm(w))
-                if bnorm > 1e-8:
-                    break
-            betas.append(0.0)
-        else:
-            betas.append(bnorm)
-        basis[:, k] = w / bnorm
-        j = k
-
-    return _ritz_pairs(basis, alphas, betas, r)
-
-
-def _ritz_pairs(basis, alphas, betas, r) -> SpectralDecomp:
-    k = len(alphas)
-    vals, vecs = _tridiag_eig(alphas, betas)
-    order = np.argsort(vals, kind="stable")[::-1][:r]
-    ritz_vals = vals[order].copy()
-    ritz_vecs = basis[:, :k] @ vecs[:, order]
-    ritz_vecs /= np.linalg.norm(ritz_vecs, axis=0)
-    return SpectralDecomp(ritz_vals, ritz_vecs, r)

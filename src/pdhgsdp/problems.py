@@ -118,9 +118,11 @@ def gen_random(seed: int, n: int = 50, m: int = 50) -> SdpProblem:
 
 
 def _sample_edges(rng: np.random.Generator, n: int, m_edges: int) -> list[tuple[int, int]]:
-    all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = rng.choice(len(all_pairs), size=m_edges, replace=False)
-    return [all_pairs[int(k)] for k in sorted(chosen)]
+    """``m_edges`` distinct pairs i < j, drawn as indices into the row-major
+    list of all n(n-1)/2 pairs and returned in that order."""
+    chosen = np.sort(rng.choice(n * (n - 1) // 2, size=m_edges, replace=False))
+    rows, cols = np.triu_indices(n, 1)
+    return list(zip(rows[chosen].tolist(), cols[chosen].tolist()))
 
 
 def graph_laplacian(n: int, edges: Iterable[tuple[int, int]]) -> np.ndarray:

@@ -2,43 +2,9 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
-from .linalg import SymMat, lanczos_top_r
-
-
-def default_rank(n: int) -> int:
-    """Default truncation rank: ceil(ln n), at least 1."""
-    return max(1, math.ceil(math.log(n)))
-
-
-@dataclass(frozen=True)
-class ProjectionConfig:
-    """Selects the exact projection or the rank-r truncated variant.
-
-    ``r=None`` in truncated mode means the ceil(ln n) default, resolved
-    against the iterate dimension at solve time.
-    """
-
-    mode: str = "exact"
-    r: int | None = None
-    lanczos_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "truncated"):
-            raise ValueError(f"unknown projection mode {self.mode!r}")
-        if self.mode == "truncated" and self.r is not None and self.r < 1:
-            raise ValueError(f"rank budget must be >= 1, got {self.r}")
-
-    def rank_for(self, n: int) -> int:
-        r = self.r if self.r is not None else default_rank(n)
-        if not 1 <= r <= n:
-            raise ValueError(f"rank budget {r} outside [1, {n}]")
-        return r
+from .linalg import SymMat
 
 
 def proj_psd(m: SymMat) -> SymMat:
@@ -53,28 +19,13 @@ def proj_psd_dense(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def approx_proj_psd(m: SymMat, r: int, lanczos_tol: float = 1e-9) -> SymMat:
+def approx_proj_psd(m: SymMat, r: int) -> SymMat:
     """Truncated projection sum_{i<=r} max(0, lam_i) u_i u_i^T over the r
     algebraically largest eigenpairs; output is PSD with rank <= r."""
-    return SymMat.from_dense(approx_proj_psd_dense(m.to_dense(), r, lanczos_tol))
-
-
-def approx_proj_psd_dense(mat: np.ndarray, r: int, lanczos_tol: float = 1e-9) -> np.ndarray:
-    n = mat.shape[0]
-    decomp = lanczos_top_r(lambda v: mat @ v, n, r, tol=lanczos_tol)
-    clipped = np.maximum(decomp.eigvals, 0.0)
-    out = (decomp.eigvecs * clipped) @ decomp.eigvecs.T
-    return 0.5 * (out + out.T)
-
-
-def projector(config: ProjectionConfig, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Dense projection callable for the given config and dimension."""
-    if config.mode == "exact":
-        return proj_psd_dense
-    r = config.rank_for(n)
-    tol = config.lanczos_tol
-
-    def _proj(mat: np.ndarray) -> np.ndarray:
-        return approx_proj_psd_dense(mat, r, tol)
-
-    return _proj
+    if not 1 <= r <= m.n:
+        raise ValueError(f"need 1 <= r <= n, got r={r}, n={m.n}")
+    vals, vecs = np.linalg.eigh(m.to_dense())
+    # eigh sorts ascending, so the r largest pairs are the last r columns
+    top = vecs[:, m.n - r:]
+    out = (top * np.maximum(vals[m.n - r:], 0.0)) @ top.T
+    return SymMat.from_dense(out)

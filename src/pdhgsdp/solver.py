@@ -33,7 +33,7 @@ import numpy as np
 from .linalg import SymMat, frobenius_inner_dense
 from .operators import adjoint, forward, lambda_max_AAt
 from .problems import SdpProblem
-from .projections import ProjectionConfig, projector
+from .projections import proj_psd_dense
 
 DEFAULT_TOL = 1e-6
 
@@ -133,7 +133,6 @@ class RunTrace:
 class SolveConfig:
     max_iters: int = 10000
     tol: float = DEFAULT_TOL
-    proj: ProjectionConfig = ProjectionConfig()
     X0: SymMat | np.ndarray | None = None
     y0: np.ndarray | None = None
     # observation hook, called as callback(k, X_new, y_new) after each
@@ -376,6 +375,8 @@ class LinesearchPolicy(StepsizePolicy):
             raise ValueError(f"s must be positive, got {s}")
         if not 0 < mu < 1:
             raise ValueError(f"mu must lie in (0,1), got {mu}")
+        if max_backtracks < 0:
+            raise ValueError(f"max_backtracks must be >= 0, got {max_backtracks}")
         self.s = s
         self.mu = mu
         self.max_backtracks = max_backtracks
@@ -556,7 +557,6 @@ def solve(problem: SdpProblem, policy: StepsizePolicy,
     """
     cmap, b = problem.constraints, problem.b
     c_dense = problem.C.to_dense()
-    proj = projector(config.proj, problem.n)
     x_cur, y = _dense_initial(problem, config)
     ax, aty = forward(cmap, x_cur), adjoint(cmap, y)
 
@@ -568,7 +568,7 @@ def solve(problem: SdpProblem, policy: StepsizePolicy,
         tic = time.perf_counter()
         try:
             alpha_x = ss.alpha
-            x_new = proj(x_cur - alpha_x * (aty + c_dense))
+            x_new = proj_psd_dense(x_cur - alpha_x * (aty + c_dense))
             ax_new = forward(cmap, x_new)
             it = IterateState(X_cur=x_cur, y=y, AX=ax, Aty=aty, k=k)
             dual = policy.dual_update(problem, it, x_new, ax_new, ss)

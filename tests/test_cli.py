@@ -53,15 +53,6 @@ class TestSolveCommand:
         )
         assert code == 0
 
-    def test_truncated_projection_flag(self, tmp_path):
-        out = tmp_path / "trace.csv"
-        code = run_cli(
-            "solve", "--problem", "mc", "--policy", "fixed", "--seed", "1",
-            "--n", "6", "--m", "6", "--max-iters", "20000",
-            "--proj", "rank:6", "--out", str(out),
-        )
-        assert code == 0
-
     def test_deterministic_trace_modulo_wall_ms(self, tmp_path):
         outs = []
         for name in ("a.csv", "b.csv"):

@@ -226,6 +226,18 @@ class TestCheckEquivalence:
         assert set(payload) == {"max_x_defect", "max_z_defect", "iters", "pass"}
         assert payload["pass"] is True
 
+    def test_array_start_matches_symmat_start(self):
+        prob = gen_random(5, n=5, m=3)
+        rng = np.random.default_rng(5)
+        x0 = rand_sym(rng, 5)
+        y0 = rng.standard_normal(3)
+        from_array = check_equivalence(prob, constant_schedule(), 10, X0=x0, y0=y0)
+        from_symmat = check_equivalence(prob, constant_schedule(), 10,
+                                        X0=SymMat.from_dense(x0), y0=y0)
+        assert from_array.passed
+        assert from_array == from_symmat
+        assert check_equivalence(prob, constant_schedule(), 10, X0=np.eye(5)).passed
+
     def test_validation(self):
         prob = gen_random(4, n=4, m=2)
         with pytest.raises(ValueError):

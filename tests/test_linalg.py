@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from pdhgsdp.linalg import (
-    EigenError,
-    SymMat,
-    frobenius_inner,
-    lanczos_top_r,
-    sym_eig,
-)
+from pdhgsdp.linalg import SymMat, frobenius_inner, sym_eig
 
 
 def random_sym(rng, n):
@@ -135,56 +129,3 @@ class TestSymEig:
         bad = SymMat(2, np.array([1.0, np.nan, 2.0]))
         with pytest.raises(ValueError):
             sym_eig(bad)
-
-
-class TestLanczos:
-    def test_diagonal_top_two(self):
-        mat = np.diag([5.0, 4.0, 3.0, 2.0, 1.0])
-        d = lanczos_top_r(lambda v: mat @ v, 5, 2)
-        np.testing.assert_allclose(d.eigvals, [5.0, 4.0], atol=1e-9)
-
-    def test_full_rank_matches_sym_eig(self):
-        rng = np.random.default_rng(9)
-        m = random_sym(rng, 6)
-        dense = m.to_dense()
-        ref = sym_eig(m)
-        d = lanczos_top_r(lambda v: dense @ v, 6, 6)
-        np.testing.assert_allclose(d.eigvals, ref.eigvals, atol=1e-8)
-
-    def test_rank_one(self):
-        rng = np.random.default_rng(10)
-        u = rng.standard_normal(7)
-        u /= np.linalg.norm(u)
-        mat = np.outer(u, u)
-        d = lanczos_top_r(lambda v: mat @ v, 7, 1)
-        assert d.eigvals[0] == pytest.approx(1.0, abs=1e-10)
-        assert min(np.linalg.norm(d.eigvecs[:, 0] - u),
-                   np.linalg.norm(d.eigvecs[:, 0] + u)) < 1e-8
-
-    def test_agreement_property(self):
-        rng = np.random.default_rng(11)
-        for trial in range(10):
-            n = int(rng.integers(2, 12))
-            m = random_sym(rng, n)
-            dense = m.to_dense()
-            ref = sym_eig(m)
-            d = lanczos_top_r(lambda v: dense @ v, n, n, seed=trial)
-            np.testing.assert_allclose(d.eigvals, ref.eigvals, atol=1e-8)
-
-    def test_breakdown_continues_with_fresh_vectors(self):
-        # identity: every Krylov space is one-dimensional, so r=3 needs
-        # repeated fresh directions
-        d = lanczos_top_r(lambda v: v, 6, 3)
-        np.testing.assert_allclose(d.eigvals, np.ones(3), atol=1e-12)
-        ortho = d.eigvecs.T @ d.eigvecs
-        np.testing.assert_allclose(ortho, np.eye(3), atol=1e-10)
-
-    def test_restart_budget_exhaustion(self):
-        with pytest.raises(EigenError):
-            lanczos_top_r(lambda v: v, 6, 3, max_restarts=0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            lanczos_top_r(lambda v: v, 4, 0)
-        with pytest.raises(ValueError):
-            lanczos_top_r(lambda v: v, 4, 5)

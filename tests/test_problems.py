@@ -99,6 +99,20 @@ class TestGenMaxcut:
         b = gen_maxcut(9, n=8, m_edges=10)
         assert a.meta["edges"] == b.meta["edges"]
 
+    @pytest.mark.parametrize("seed,n,m_edges", [
+        (1, 100, 100), (2, 150, 150), (101, 150, 150), (7, 2, 1), (3, 5, 10),
+        (4, 12, 66), (5, 40, 1), (6, 30, 0),
+    ])
+    def test_edges_match_pair_list_draw(self, seed, n, m_edges):
+        # oracle: the same index draw into an explicit row-major pair list
+        all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        chosen = np.random.default_rng(seed).choice(len(all_pairs), size=m_edges,
+                                                    replace=False)
+        expected = tuple(all_pairs[int(k)] for k in sorted(chosen))
+        edges = gen_maxcut(seed, n=n, m_edges=m_edges).meta["edges"]
+        assert edges == expected
+        assert all(type(v) is int for edge in edges for v in edge)
+
 
 class TestGenSnl:
     def test_dimensions_and_counts(self):

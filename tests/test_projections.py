@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from pdhgsdp.linalg import SymMat
-from pdhgsdp.projections import (
-    ProjectionConfig,
-    approx_proj_psd,
-    default_rank,
-    proj_psd,
-    projector,
-)
+from pdhgsdp.projections import approx_proj_psd, proj_psd
 
 
 def clipping_oracle(dense: np.ndarray) -> np.ndarray:
@@ -109,37 +103,20 @@ class TestApproxProjPsd:
             rank = int(np.sum(vals > 1e-9 * max(top, 1e-300)))
             assert rank <= r
 
+    def test_matches_top_r_oracle(self):
+        rng = np.random.default_rng(8)
+        for r in (1, 3, 5, 9):
+            m = random_sym(rng, 9)
+            vals, vecs = np.linalg.eigh(m.to_dense())
+            expected = np.zeros((9, 9))
+            for k in np.argsort(vals)[::-1][:r]:
+                expected += max(vals[k], 0.0) * np.outer(vecs[:, k], vecs[:, k])
+            np.testing.assert_allclose(approx_proj_psd(m, r).to_dense(), expected,
+                                       atol=1e-10)
+
     def test_rank_validation(self):
         m = SymMat.identity(3)
         with pytest.raises(ValueError):
             approx_proj_psd(m, 0)
         with pytest.raises(ValueError):
             approx_proj_psd(m, 4)
-
-
-class TestProjectionConfig:
-    def test_default_rank_is_log(self):
-        assert default_rank(100) == 5  # ceil(ln 100)
-        assert default_rank(2) == 1
-        assert default_rank(1) == 1
-
-    def test_rank_resolution(self):
-        cfg = ProjectionConfig(mode="truncated")
-        assert cfg.rank_for(100) == 5
-        assert ProjectionConfig(mode="truncated", r=3).rank_for(10) == 3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ProjectionConfig(mode="nope")
-        with pytest.raises(ValueError):
-            ProjectionConfig(mode="truncated", r=0)
-        with pytest.raises(ValueError):
-            ProjectionConfig(mode="truncated", r=9).rank_for(4)
-
-    def test_projector_dispatch(self):
-        rng = np.random.default_rng(8)
-        m = random_sym(rng, 5)
-        exact = projector(ProjectionConfig(), 5)(m.to_dense())
-        np.testing.assert_allclose(exact, proj_psd(m).to_dense(), atol=1e-12)
-        trunc = projector(ProjectionConfig(mode="truncated", r=5), 5)(m.to_dense())
-        np.testing.assert_allclose(trunc, exact, atol=1e-8)

@@ -433,6 +433,8 @@ class TestLinesearchPolicy:
             LinesearchPolicy(s=0.0)
         with pytest.raises(ValueError):
             LinesearchPolicy(s=1.0, mu=1.0)
+        with pytest.raises(ValueError):
+            LinesearchPolicy(max_backtracks=-1)
 
 
 class TestTuningFreePolicy:
@@ -713,6 +715,29 @@ class TestOperatorApplications:
         per_iter = 3 if name == "ls" else 2
         assert total[0] == per_iter * self.ITERS + 2
         assert in_hook == ({"dual_update": 2 * self.ITERS} if name == "ls" else {})
+
+
+@pytest.mark.parametrize("name", ENGINE_POLICIES)
+def test_one_projection_per_iteration(name, monkeypatch):
+    """The engine reaches the projections module only through its
+    module-level ``proj_psd_dense``, once per iteration, so wrapping that
+    name sees every projection."""
+    projections = [attr for attr, obj in vars(solver_module).items()
+                   if getattr(obj, "__module__", None) == "pdhgsdp.projections"]
+    assert projections == ["proj_psd_dense"]
+    calls = [0]
+    original = solver_module.proj_psd_dense
+
+    def counting(mat):
+        calls[0] += 1
+        return original(mat)
+
+    monkeypatch.setattr(solver_module, "proj_psd_dense", counting)
+    iters = 25
+    trace = solve(gen_random(1, n=6, m=4), every_policy(name),
+                  SolveConfig(max_iters=iters, tol=1e-300))
+    assert trace.iterations == iters
+    assert calls[0] == iters
 
 
 @pytest.mark.parametrize("make_problem", [lambda: small_rg(42, n=6, m=4), small_snl],
