@@ -134,12 +134,11 @@ class SpectralDecomp:
     """Eigenpairs sorted by non-increasing eigenvalue.
 
     ``eigvecs`` holds the unit eigenvectors as columns, ordered to match
-    ``eigvals``. ``rank_computed`` is the number of returned pairs.
+    ``eigvals``.
     """
 
     eigvals: np.ndarray
     eigvecs: np.ndarray
-    rank_computed: int
 
 
 def frobenius_inner(a: SymMat, b: SymMat) -> float:
@@ -164,4 +163,4 @@ def sym_eig(m: SymMat) -> SpectralDecomp:
     except np.linalg.LinAlgError as exc:
         raise EigenError(f"symmetric eigendecomposition failed: {exc}") from exc
     # eigh returns ascending order; flip to descending (stable reversal)
-    return SpectralDecomp(vals[::-1].copy(), vecs[:, ::-1].copy(), m.n)
+    return SpectralDecomp(vals[::-1].copy(), vecs[:, ::-1].copy())

@@ -1,10 +1,96 @@
-"""Projection onto the PSD cone, exact and rank-truncated."""
+"""Projection onto the PSD cone, exact and rank-truncated.
+
+The exact projection keeps only the positive eigenpairs, so it asks LAPACK's
+``dsyevx`` for those alone instead of for the full decomposition. The routine
+is reached through the LAPACK that numpy itself links (scipy-openblas in the
+numpy wheels), so no further dependency is loaded. Where numpy's build does
+not export it (MKL, conda or Windows builds), the projection clips a full
+``np.linalg.eigh``; that path is also the reference the tests compare against.
+"""
 
 from __future__ import annotations
+
+import ctypes
+import threading
 
 import numpy as np
 
 from .linalg import SymMat
+
+# dsyevx's names in numpy's LAPACK: numpy >= 2 wheels prefix scipy-openblas's
+# ILP64 symbols with ``scipy_``, numpy 1.x wheels export them bare.
+_DSYEVX_SYMBOLS = ("scipy_dsyevx_64_", "dsyevx_64_")
+
+# Bisection pins each eigenvalue to 2*DLAMCH('S'), the accuracy LAPACK
+# recommends. At the default (0, which dsyevx widens to eps*||T||), tf stalls
+# on max-cut instances with a degenerate dual: its stepsize grows past 1e15,
+# so the projection input is mostly roundoff, and the coarser eigenvalues then
+# keep it from reaching the stopping rule under permuted rows.
+_ABSTOL = 2.0 * np.finfo(float).tiny
+
+
+def _load_dsyevx():
+    """The ILP64 ``dsyevx`` of numpy's LAPACK, or None where it exports none."""
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError, AttributeError):
+        return None
+    for name in _DSYEVX_SYMBOLS:
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            # 20 Fortran arguments, all by reference, then the hidden lengths
+            # of the three character arguments
+            fn.argtypes = [ctypes.c_void_p] * 20 + [ctypes.c_size_t] * 3
+            fn.restype = None
+            return fn
+    return None
+
+
+_DSYEVX = _load_dsyevx()
+
+
+class _Workspace:
+    """dsyevx's buffers and argument list for one dimension n. The argument
+    list holds raw addresses, so the buffers must live as long as it does."""
+
+    def __init__(self, n: int):
+        self.a = np.empty((n, n), order="F")
+        self.w = np.empty(n)
+        self.z = np.empty((n, n), order="F")
+        self.m = np.zeros(1, dtype=np.int64)
+        self.info = np.zeros(1, dtype=np.int64)
+        # n, lda, il, iu, ldz, lwork (il and iu are not read for RANGE='V')
+        ints = np.array([n, n, 1, n, n, 8 * n], dtype=np.int64)
+        # vl, vu, abstol: the half-open range (0, +inf]
+        reals = np.array([0.0, np.inf, _ABSTOL])
+        chars = np.frombuffer(b"VVL", dtype=np.uint8).copy()  # jobz, range, uplo
+        work = np.empty(8 * n)
+        iwork = np.empty(5 * n, dtype=np.int64)
+        ifail = np.empty(n, dtype=np.int64)
+        self._keep = (ints, reals, chars, work, iwork, ifail)
+        i, r, c = ints.ctypes.data, reals.ctypes.data, chars.ctypes.data
+        self.args = (c, c + 1, c + 2, i, self.a.ctypes.data, i + 8, r, r + 8,
+                     i + 16, i + 24, r + 16, self.m.ctypes.data, self.w.ctypes.data,
+                     self.z.ctypes.data, i + 32, work.ctypes.data, i + 40,
+                     iwork.ctypes.data, ifail.ctypes.data, self.info.ctypes.data,
+                     1, 1, 1)
+
+
+# Workspaces per thread and dimension: dsyevx writes into them without the
+# interpreter lock, so two threads must not share one; allocated once, they
+# spare every call the page faults of fresh n-by-n buffers.
+_LOCAL = threading.local()
+
+
+def _workspace(n: int) -> _Workspace:
+    cache = getattr(_LOCAL, "cache", None)
+    if cache is None:
+        cache = _LOCAL.cache = {}
+    ws = cache.get(n)
+    if ws is None:
+        ws = cache[n] = _Workspace(n)
+    return ws
 
 
 def proj_psd(m: SymMat) -> SymMat:
@@ -13,10 +99,26 @@ def proj_psd(m: SymMat) -> SymMat:
 
 
 def proj_psd_dense(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    clipped = np.maximum(vals, 0.0)
-    out = (vecs * clipped) @ vecs.T
-    return 0.5 * (out + out.T)
+    """Frobenius-nearest PSD matrix of a symmetric array, read from its lower
+    triangle. Raises ``np.linalg.LinAlgError`` on a non-finite entry or an
+    eigensolver failure."""
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise np.linalg.LinAlgError(f"expected a square matrix, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise np.linalg.LinAlgError("matrix has non-finite entries")
+    if _DSYEVX is None:
+        vals, vecs = np.linalg.eigh(mat)
+        clipped = np.maximum(vals, 0.0)
+        out = (vecs * clipped) @ vecs.T
+        return 0.5 * (out + out.T)
+    ws = _workspace(mat.shape[0])
+    ws.a[...] = mat  # dsyevx overwrites its input
+    _DSYEVX(*ws.args)
+    if ws.info[0] != 0:
+        raise np.linalg.LinAlgError(f"dsyevx failed with INFO={ws.info[0]}")
+    k = int(ws.m[0])
+    v = ws.z[:, :k] * np.sqrt(ws.w[:k])
+    return v @ v.T  # one SYRK, so the output is exactly symmetric
 
 
 def approx_proj_psd(m: SymMat, r: int) -> SymMat:
