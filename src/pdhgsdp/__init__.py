@@ -6,7 +6,7 @@ SDPA sparse I/O, the PDHG engine with five stepsize policies, and a
 Douglas-Rachford oracle that cross-checks the engine trajectory.
 """
 
-from .linalg import EigenError, SpectralDecomp, SymMat, frobenius_inner, sym_eig
+from .linalg import SymMat, frobenius_inner
 from .operators import (
     ConstraintMap,
     LiftedOperator,
@@ -62,7 +62,6 @@ from .drs import (
 __all__ = [
     "BalancedResidualPolicy",
     "ConstraintMap",
-    "EigenError",
     "EquivalenceReport",
     "FixedPolicy",
     "GradientAlignmentPolicy",
@@ -79,7 +78,6 @@ __all__ = [
     "SnlGroundTruth",
     "SolveConfig",
     "SolveError",
-    "SpectralDecomp",
     "StepsizePolicy",
     "StepsizeState",
     "SymMat",
@@ -107,6 +105,5 @@ __all__ = [
     "residuals",
     "solve",
     "stop_check",
-    "sym_eig",
     "write_instance",
 ]

@@ -67,7 +67,9 @@ class BenchConfig:
         for family in self.families:
             if family not in FAMILIES:
                 raise ValueError(f"unknown family {family!r}")
-            budgets = self.budgets[family]
+            budgets = self.budgets.get(family)
+            if not budgets:
+                raise ValueError(f"no budgets given for family {family!r}")
             if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
                 raise ValueError(
                     f"budgets for {family} must be strictly increasing, got {budgets}"

@@ -48,7 +48,7 @@ def resolvent_f(
     (Proj_PSD(Z - alpha C), 0)."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    return proj_psd_dense(z - alpha * problem.C.to_dense()), np.zeros_like(z_hat)
+    return proj_psd_dense(z - alpha * problem.C.dense), np.zeros_like(z_hat)
 
 
 def resolvent_g(

@@ -52,16 +52,15 @@ class ConstraintMap:
                     f"constraint matrix {i} has dimension {mat.n}, expected {n}"
                 )
         m = len(mats)
-        if _stored_dense(sum(np.count_nonzero(mat.packed) for mat in mats), m, n):
-            self._hold(m, n, dense=np.stack([mat.to_dense().ravel() for mat in mats]))
+        stack = np.stack([mat.dense for mat in mats])
+        # nonzeros on and above the diagonal: off-diagonal ones come in pairs
+        nnz = np.count_nonzero(stack) + np.count_nonzero(np.diagonal(stack, 0, 1, 2))
+        if _stored_dense(nnz // 2, m, n):
+            self._hold(m, n, dense=stack.reshape(m, n * n))
             return
-        # packed slots are the row-major upper triangle, nonzero and in order
-        slots = [np.flatnonzero(mat.packed) for mat in mats]
-        iu, ju = np.triu_indices(n)
-        flat = np.concatenate(slots)
-        con = np.repeat(np.arange(m), [s.size for s in slots])
-        vals = np.concatenate([mat.packed[s] for mat, s in zip(mats, slots)])
-        self._hold(m, n, coo=_mirrored_coo(n, con, iu[flat], ju[flat], vals))
+        upper = np.triu(stack)
+        con, i, j = np.nonzero(upper)
+        self._hold(m, n, coo=_mirrored_coo(n, con, i, j, upper[con, i, j]))
 
     @classmethod
     def from_triples(cls, m: int, n: int, con, i, j, vals) -> "ConstraintMap":
@@ -150,7 +149,7 @@ def apply_A(cmap: ConstraintMap, x: SymMat) -> np.ndarray:
     """A(X) = (<A_1, X>, ..., <A_m, X>)."""
     if x.n != cmap.n:
         raise ValueError(f"dimension mismatch: X has n={x.n}, map has n={cmap.n}")
-    return forward(cmap, x.to_dense())
+    return forward(cmap, x.dense)
 
 
 def apply_At(cmap: ConstraintMap, y: np.ndarray) -> SymMat:
@@ -158,7 +157,7 @@ def apply_At(cmap: ConstraintMap, y: np.ndarray) -> SymMat:
     y = np.asarray(y, dtype=float)
     if y.shape != (cmap.m,):
         raise ValueError(f"length mismatch: y has shape {y.shape}, map has m={cmap.m}")
-    return SymMat.from_dense(adjoint(cmap, y))
+    return SymMat(adjoint(cmap, y))
 
 
 def gram(cmap: ConstraintMap) -> np.ndarray:

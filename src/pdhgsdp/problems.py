@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import SymMat
+from .linalg import SymMat, frobenius_inner_dense
 from .operators import ConstraintMap, adjoint, apply_A
 
 
@@ -51,7 +51,7 @@ class SdpProblem:
         return self.constraints.m
 
     def objective(self, x_dense: np.ndarray) -> float:
-        return float(np.einsum("ij,ij->", self.C.to_dense(), x_dense))
+        return frobenius_inner_dense(self.C.dense, x_dense)
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class SnlGroundTruth:
         z[:p, p:] = x
         z[p:, :p] = x.T
         z[p:, p:] = x.T @ x
-        return SymMat.from_dense(z)
+        return SymMat(z)
 
 
 def _symmetrized_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -101,17 +101,17 @@ def gen_random(seed: int, n: int = 50, m: int = 50) -> SdpProblem:
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     rng = np.random.default_rng(seed)
-    mats = tuple(SymMat.from_dense(_symmetrized_gaussian(rng, n)) for _ in range(m))
+    mats = tuple(SymMat(_symmetrized_gaussian(rng, n)) for _ in range(m))
     cmap = ConstraintMap(mats)
 
     g = rng.standard_normal((n, n))
-    x0 = SymMat.from_dense(g @ g.T + 0.1 * np.eye(n))
+    x0 = SymMat(g @ g.T + 0.1 * np.eye(n))
     b = apply_A(cmap, x0)
 
     y0 = rng.standard_normal(m)
     h = rng.standard_normal((n, n))
-    s0 = SymMat.from_dense(h @ h.T + 0.1 * np.eye(n))
-    c = SymMat.from_dense(adjoint(cmap, y0) + s0.to_dense())
+    s0 = SymMat(h @ h.T + 0.1 * np.eye(n))
+    c = SymMat(adjoint(cmap, y0) + s0.dense)
 
     meta = {"generator": "rg", "seed": seed, "X0": x0, "y0": y0, "S0": s0}
     return SdpProblem(C=c, constraints=cmap, b=b, meta=meta)
@@ -153,7 +153,7 @@ def gen_maxcut(
     rng = np.random.default_rng(seed)
     edges = _sample_edges(rng, n, m_edges)
     lap = graph_laplacian(n, edges)
-    c = SymMat.from_dense(-lap if negate_objective else lap)
+    c = SymMat(-lap if negate_objective else lap)
 
     diag = np.arange(n)
     cmap = ConstraintMap.from_triples(n, n, diag, diag, diag, np.ones(n))
@@ -319,9 +319,8 @@ def write_instance(problem: SdpProblem, path) -> None:
     ]
 
     # upper-triangle nonzeros, each matrix row-major, C first
-    iu, ju = np.triu_indices(n)
-    slots = np.flatnonzero(problem.C.packed)
-    c_entries = (np.zeros_like(slots), iu[slots], ju[slots], problem.C.packed[slots])
+    ci, cj = np.nonzero(np.triu(problem.C.dense))
+    c_entries = (np.zeros_like(ci), ci, cj, problem.C.dense[ci, cj])
     con, i, j, vals = problem.constraints.upper_triples()
     for entries in (c_entries, (con + 1, i, j, vals)):
         lines += [f"{k} 1 {r + 1} {c + 1} {_fmt(v)}"
@@ -430,9 +429,10 @@ def read_instance(path) -> SdpProblem:
     matno, i, j = keys.reshape(-1, 3).T
     vals = np.fromiter(entries.values(), float, len(entries))
     is_c = matno == 0
-    ci, cj = i[is_c], j[is_c]
-    packed = np.zeros(n * (n + 1) // 2)
-    packed[ci * n - ci * (ci - 1) // 2 + (cj - ci)] = vals[is_c]
+    ci, cj, cv = i[is_c], j[is_c], vals[is_c]
+    c = np.zeros((n, n))
+    c[ci, cj] = cv
+    c[cj, ci] = cv
     cmap = ConstraintMap.from_triples(m, n, matno[~is_c] - 1, i[~is_c], j[~is_c],
                                       vals[~is_c])
-    return SdpProblem(C=SymMat(n, packed), constraints=cmap, b=b, meta=meta)
+    return SdpProblem(C=SymMat(c), constraints=cmap, b=b, meta=meta)

@@ -95,7 +95,7 @@ def _workspace(n: int) -> _Workspace:
 
 def proj_psd(m: SymMat) -> SymMat:
     """Frobenius-nearest PSD matrix: clip negative eigenvalues to zero."""
-    return SymMat.from_dense(proj_psd_dense(m.to_dense()))
+    return SymMat(proj_psd_dense(m.dense))
 
 
 def proj_psd_dense(mat: np.ndarray) -> np.ndarray:
@@ -126,8 +126,8 @@ def approx_proj_psd(m: SymMat, r: int) -> SymMat:
     algebraically largest eigenpairs; output is PSD with rank <= r."""
     if not 1 <= r <= m.n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={m.n}")
-    vals, vecs = np.linalg.eigh(m.to_dense())
+    vals, vecs = np.linalg.eigh(m.dense)
     # eigh sorts ascending, so the r largest pairs are the last r columns
     top = vecs[:, m.n - r:]
     out = (top * np.maximum(vals[m.n - r:], 0.0)) @ top.T
-    return SymMat.from_dense(out)
+    return SymMat(out)

@@ -189,9 +189,14 @@ def stop_check(report: ResidualReport, tol: float = DEFAULT_TOL) -> bool:
 # --- stepsize policies -------------------------------------------------------
 
 
+_ZERO_MAP = "the constraint map is zero (lambda_max(AA^T) = 0)"
+
+
 def default_stepsize_product(lam_max: float) -> float:
     """Default preserved product 0.9/lambda_max, strictly inside the
     admissible range."""
+    if lam_max == 0.0:
+        raise ValueError(f"{_ZERO_MAP}: it sets no stepsize product, so pass the stepsizes")
     return 0.9 / lam_max
 
 
@@ -272,12 +277,12 @@ class _BalancingBase(StepsizePolicy):
         return ss
 
     # returns +1 (grow alpha), 0 (hold), -1 (shrink alpha)
-    def _branch(self, it, x_new, p_mat, alpha_x, report, ss) -> int:
+    def _branch(self, it, x_new, p_mat, report, ss) -> int:
         raise NotImplementedError
 
     def adjust_post(self, problem, it, x_new, p_mat, alpha_x, report, ss):
         eps = ss.extra["eps"]
-        branch = self._branch(it, x_new, p_mat, alpha_x, report, ss)
+        branch = self._branch(it, x_new, p_mat, report, ss)
         if branch > 0:
             factor = 1.0 / (1.0 - eps)
         elif branch < 0:
@@ -304,7 +309,7 @@ class BalancedResidualPolicy(_BalancingBase):
             raise ValueError(f"delta must be positive, got {delta}")
         self.delta = delta
 
-    def _branch(self, it, x_new, p_mat, alpha_x, report, ss) -> int:
+    def _branch(self, it, x_new, p_mat, report, ss) -> int:
         p, d = report.p_norm, report.d_norm
         if p > 2.0 * d * self.delta:
             return 1
@@ -314,31 +319,19 @@ class BalancedResidualPolicy(_BalancingBase):
 
 
 class GradientAlignmentPolicy(_BalancingBase):
-    """Branch on the cosine between the primal step and the primal residual
-    matrix: grow alpha when they align (w > 0.99), hold for 0 <= w <= 0.99,
-    shrink when they anti-align (w < 0).
-
-    ``variant`` picks the residual form: "delta_y" uses A^T(y^k - y^{k+1}),
-    which is the engine's primal residual matrix, and "absolute_y" uses the
-    cached A^T(y^k). Vanishing norms fall back to the hold branch and bump the
+    """Branch on the cosine w between the primal step and the engine's primal
+    residual matrix dx/alpha - A^T(y^k - y^{k+1}): grow alpha when they align
+    (w > 0.99), hold for 0 <= w <= 0.99, shrink when they anti-align (w < 0).
+    Vanishing norms fall back to the hold branch and bump the
     ``degenerate_cosine`` counter.
     """
 
     name = "alv"
 
-    def __init__(self, eps0: float = 0.5, eta: float = 0.95,
-                 cosine_threshold: float = 0.99, variant: str = "delta_y",
-                 alpha: float | None = None, beta: float | None = None):
-        super().__init__(eps0, eta, alpha, beta)
-        if variant not in ("delta_y", "absolute_y"):
-            raise ValueError(f"unknown residual variant {variant!r}")
-        self.cosine_threshold = cosine_threshold
-        self.variant = variant
+    cosine_threshold = 0.99
 
-    def _branch(self, it, x_new, p_mat, alpha_x, report, ss) -> int:
+    def _branch(self, it, x_new, p_mat, report, ss) -> int:
         dx = it.X_cur - x_new
-        if self.variant == "absolute_y":
-            p_mat = dx / alpha_x - it.Aty
         ndx = float(np.linalg.norm(dx))
         npm = float(np.linalg.norm(p_mat))
         if ndx == 0.0 or npm == 0.0:
@@ -425,13 +418,10 @@ class TuningFreePolicy(StepsizePolicy):
         beta_k  = 1 / (eps alpha_k)
 
     alpha_k is the next primal stepsize, so alpha_k beta_k = 1/eps is
-    preserved. The dual extrapolation theta_k defaults to the realized ratio
-    alpha_k/alpha_{k-1} = 1 - w_k + w_k t_k ("ratio"), which keeps the
+    preserved. The dual extrapolation theta_k is the realized ratio
+    alpha_k/alpha_{k-1} = 1 - w_k + w_k t_k, which keeps the
     iteration inside the convergence theory (theta equals the stepsize ratio
-    and tends to 1 as w_k vanishes). ``y_extrapolation="clamped"`` instead
-    feeds the raw clamped t_k to the dual update; once w_k has decayed this
-    detaches theta from the stepsize ratio and can stall far from a solution,
-    so it exists for comparison only. A vanishing clamp denominator maps to
+    and tends to 1 as w_k vanishes). A vanishing clamp denominator maps to
     theta_max and bumps the ``tf_zero_denominator`` counter.
     """
 
@@ -442,11 +432,8 @@ class TuningFreePolicy(StepsizePolicy):
     alpha_init = 1.0
     _EPS_MARGIN = 1.0 + 1e-6
 
-    def __init__(self, eps: float | None = None, y_extrapolation: str = "ratio"):
-        if y_extrapolation not in ("ratio", "clamped"):
-            raise ValueError(f"unknown y_extrapolation {y_extrapolation!r}")
+    def __init__(self, eps: float | None = None):
         self.eps = eps
-        self.y_extrapolation = y_extrapolation
 
     def initial_state(self, problem: SdpProblem) -> StepsizeState:
         lam = lambda_max_AAt(problem.constraints)
@@ -457,6 +444,8 @@ class TuningFreePolicy(StepsizePolicy):
                 f"eps = {eps} must be at least lambda_max*(1+1e-6) = {floor} "
                 "so the preserved product stays strictly admissible"
             )
+        if eps == 0.0:
+            raise ValueError(f"{_ZERO_MAP}: it sets no eps, so pass tf an eps > 0")
         a0 = self.alpha_init
         return StepsizeState(
             alpha=a0, beta=1.0 / (eps * a0), theta=1.0, R=1.0 / eps,
@@ -478,7 +467,7 @@ class TuningFreePolicy(StepsizePolicy):
         factor = 1.0 - omega + omega * clamped
         ss.alpha = factor * ss.alpha
         ss.beta = 1.0 / (eps * ss.alpha)
-        ss.theta = factor if self.y_extrapolation == "ratio" else clamped
+        ss.theta = factor
 
 
 class SchedulePolicy(StepsizePolicy):
@@ -526,10 +515,8 @@ def _dense_initial(problem: SdpProblem, config: SolveConfig) -> tuple[np.ndarray
     x0 = config.X0
     if x0 is None:
         x = np.zeros((n, n))
-    elif isinstance(x0, SymMat):
-        x = x0.to_dense()
     else:
-        x = SymMat.from_dense(np.asarray(x0, dtype=float)).to_dense()
+        x = (x0 if isinstance(x0, SymMat) else SymMat(x0)).dense
     if x.shape != (n, n):
         raise ValueError(f"X0 has shape {x.shape}, expected ({n}, {n})")
     y = np.zeros(m) if config.y0 is None else np.asarray(config.y0, dtype=float).copy()
@@ -556,7 +543,7 @@ def solve(problem: SdpProblem, policy: StepsizePolicy,
     trace accumulated so far.
     """
     cmap, b = problem.constraints, problem.b
-    c_dense = problem.C.to_dense()
+    c_dense = problem.C.dense
     x_cur, y = _dense_initial(problem, config)
     ax, aty = forward(cmap, x_cur), adjoint(cmap, y)
 
@@ -591,7 +578,7 @@ def solve(problem: SdpProblem, policy: StepsizePolicy,
             if not converged:
                 policy.adjust_post(problem, it, x_new, p_mat, alpha_x, report, ss)
         except Exception as exc:  # surface any failure with the partial trace
-            trace = RunTrace(rows, "error", SymMat.from_dense(x_cur), y.copy(),
+            trace = RunTrace(rows, "error", SymMat(x_cur), y.copy(),
                              flags=_flags(ss))
             raise SolveError(str(exc), trace) from exc
 
@@ -602,7 +589,7 @@ def solve(problem: SdpProblem, policy: StepsizePolicy,
             status = "converged"
             break
 
-    return RunTrace(rows, status, SymMat.from_dense(x_cur), y.copy(), flags=_flags(ss))
+    return RunTrace(rows, status, SymMat(x_cur), y.copy(), flags=_flags(ss))
 
 
 POLICY_NAMES = ("fixed", "bpdr", "alv", "ls", "tf")

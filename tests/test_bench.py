@@ -48,6 +48,14 @@ class TestBenchConfig:
         with pytest.raises(ValueError):
             BenchConfig(families=("bogus",))
 
+    def test_family_without_budgets_rejected(self):
+        with pytest.raises(ValueError, match="'mc'"):
+            BenchConfig(families=("rg", "mc"), budgets={"rg": (100,)})
+
+    def test_empty_budgets_rejected(self):
+        with pytest.raises(ValueError, match="'rg'"):
+            BenchConfig(families=("rg",), budgets={"rg": ()})
+
     def test_ls_grid_expansion(self):
         cfg = tiny_config(policies=("ls",), ls_s_grid=(0.1, 0.2, 1.0, 10.0))
         labels = [label for label, _ in cfg.policy_factories()]

@@ -1,7 +1,12 @@
 import json
 
+import numpy as np
+import pytest
+
 from pdhgsdp.cli import main
-from pdhgsdp.problems import gen_maxcut, write_instance
+from pdhgsdp.linalg import SymMat
+from pdhgsdp.operators import ConstraintMap
+from pdhgsdp.problems import SdpProblem, gen_maxcut, write_instance
 
 
 def run_cli(*args):
@@ -41,6 +46,18 @@ class TestSolveCommand:
                        "--bogus-flag", "1")
         capsys.readouterr()
         assert code == 1
+
+    @pytest.mark.parametrize("policy", ["fixed", "bpdr", "alv", "tf"])
+    def test_zero_constraint_map_exit_one(self, tmp_path, capsys, policy):
+        zero = SdpProblem(SymMat.identity(2), ConstraintMap((SymMat.zeros(2),)),
+                          np.zeros(1))
+        path = tmp_path / "zero.dat-s"
+        write_instance(zero, path)
+        code = run_cli("solve", "--problem", f"file:{path}", "--policy", policy,
+                       "--out", str(tmp_path / "t.csv"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "constraint map is zero" in err
 
     def test_file_problem_round_trips(self, tmp_path):
         prob = gen_maxcut(1, n=6, m_edges=6)
@@ -129,6 +146,19 @@ class TestBenchCommand:
         lines = (out_dir / "table.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 2  # one policy, two budgets
         capsys.readouterr()
+
+    @pytest.mark.parametrize("budgets", [{"rg": [200]}, {"rg": [200], "mc": []}])
+    def test_family_without_budgets_exit_one(self, tmp_path, capsys, budgets):
+        cfg_path = tmp_path / "bench.json"
+        # a tiny sweep, so that a config accepted by mistake still ends soon
+        cfg = {"families": ["rg", "mc"], "budgets": budgets, "seeds": 1,
+               "policies": ["fixed"], "sizes": {"rg": {"n": 6, "m": 4}}}
+        cfg_path.write_text(json.dumps(cfg))
+        code = run_cli("bench", "--config", str(cfg_path),
+                       "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'mc'" in err
 
 
 class TestGridSearchCommand:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pdhgsdp.linalg import SymMat, frobenius_inner, sym_eig
+from pdhgsdp.linalg import SymMat, frobenius_inner
 
 
 def random_sym(rng, n):
@@ -26,6 +26,8 @@ class TestSymMat:
         a = np.array([[1.0, 4.0], [0.0, 2.0]])
         m = SymMat.from_dense(a)
         assert m.access(0, 1) == 2.0
+        assert np.array_equal(SymMat(a).dense, [[1.0, 2.0], [2.0, 2.0]])
+        assert SymMat(a).n == 2
 
     def test_round_trip(self):
         rng = np.random.default_rng(2)
@@ -53,11 +55,32 @@ class TestSymMat:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SymMat(0, np.zeros(0))
+            SymMat(np.zeros((0, 0)))
         with pytest.raises(ValueError):
-            SymMat(3, np.zeros(5))
+            SymMat(np.zeros(5))
         with pytest.raises(ValueError):
             SymMat.from_dense(np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            SymMat(np.zeros((2, 2, 2)))
+
+    def test_constructor_does_not_alias_input(self):
+        a = np.eye(3)
+        m = SymMat(a)
+        a[0, 0] = 5.0
+        assert m.dense[0, 0] == 1.0
+
+    def test_dense_rejects_writes(self):
+        m = SymMat.identity(3)
+        with pytest.raises(ValueError):
+            m.dense[0, 1] = 1.0
+        assert np.array_equal(m.dense, np.eye(3))
+
+    def test_to_dense_is_writable_copy(self):
+        m = SymMat.identity(3)
+        d = m.to_dense()
+        d[0, 1] = 7.0
+        assert np.array_equal(m.dense, np.eye(3))
+        assert d[0, 1] == 7.0
 
 
 class TestFrobeniusInner:
@@ -88,43 +111,3 @@ class TestFrobeniusInner:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             frobenius_inner(SymMat.identity(2), SymMat.identity(3))
-
-
-class TestSymEig:
-    def test_identity(self):
-        d = sym_eig(SymMat.identity(3))
-        np.testing.assert_allclose(d.eigvals, np.ones(3))
-
-    def test_diagonal(self):
-        d = sym_eig(SymMat.diag([3.0, 1.0, -2.0]))
-        np.testing.assert_allclose(d.eigvals, [3.0, 1.0, -2.0], atol=1e-14)
-        # eigenvectors are signed standard basis vectors
-        for col, expected_axis in zip(d.eigvecs.T, [0, 1, 2]):
-            assert abs(abs(col[expected_axis]) - 1.0) < 1e-14
-
-    def test_reconstruction_random(self):
-        rng = np.random.default_rng(7)
-        m = random_sym(rng, 8)
-        d = sym_eig(m)
-        rec = (d.eigvecs * d.eigvals) @ d.eigvecs.T
-        assert np.linalg.norm(rec - m.to_dense()) < 1e-10 * max(1.0, m.norm())
-
-    def test_contract_on_many_random_matrices(self):
-        rng = np.random.default_rng(8)
-        for trial in range(100):
-            n = int(rng.integers(2, 21))
-            m = random_sym(rng, n)
-            d = sym_eig(m)
-            assert np.all(np.diff(d.eigvals) <= 1e-12)  # non-increasing
-            norms = np.linalg.norm(d.eigvecs, axis=0)
-            assert np.max(np.abs(norms - 1.0)) < 1e-12
-            gram_v = d.eigvecs.T @ d.eigvecs - np.eye(n)
-            off = gram_v - np.diag(np.diag(gram_v))
-            assert np.max(np.abs(off)) < 1e-10
-            rec = (d.eigvecs * d.eigvals) @ d.eigvecs.T
-            assert np.linalg.norm(rec - m.to_dense()) < 1e-10 * max(1.0, m.norm())
-
-    def test_nonfinite_rejected(self):
-        bad = SymMat(2, np.array([1.0, np.nan, 2.0]))
-        with pytest.raises(ValueError):
-            sym_eig(bad)

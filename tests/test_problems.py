@@ -40,7 +40,7 @@ class TestGenRandom:
     def test_deterministic_in_seed(self):
         a = gen_random(7, n=6, m=4)
         b = gen_random(7, n=6, m=4)
-        assert np.array_equal(a.C.packed, b.C.packed)
+        assert np.array_equal(a.C.dense, b.C.dense)
         assert np.array_equal(a.b, b.b)
         assert np.array_equal(dense_mats(a.constraints), dense_mats(b.constraints))
         c = gen_random(8, n=6, m=4)
@@ -120,7 +120,7 @@ class TestGenSnl:
         assert prob.n == 2 + 8  # p + n_sensors
         n_dist = len(truth.edges_xx) + len(truth.edges_ax)
         assert prob.m == n_dist + 3  # + p(p+1)/2 identity-block equalities
-        assert np.all(prob.C.packed == 0.0)
+        assert np.all(prob.C.dense == 0.0)
 
     def test_stored_distances_exact(self):
         _, truth = gen_snl(2, m_anchors=4, n_sensors=8, radius=0.7, degree=5)
@@ -207,7 +207,7 @@ class TestSdpaRoundTrip:
         path = tmp_path / "mc.dat-s"
         write_instance(prob, path)
         back = read_instance(path)
-        assert np.array_equal(back.C.packed, prob.C.packed)
+        assert np.array_equal(back.C.dense, prob.C.dense)
         assert np.array_equal(back.b, prob.b)
         assert np.array_equal(dense_mats(back.constraints), dense_mats(prob.constraints))
         assert back.meta["generator"] == "mc"
@@ -218,7 +218,7 @@ class TestSdpaRoundTrip:
         path = tmp_path / "rg.dat-s"
         write_instance(prob, path)
         back = read_instance(path)
-        assert np.array_equal(back.C.packed, prob.C.packed)
+        assert np.array_equal(back.C.dense, prob.C.dense)
         assert np.array_equal(back.b, prob.b)
         assert np.array_equal(dense_mats(back.constraints), dense_mats(prob.constraints))
 

@@ -339,19 +339,25 @@ class TestGradientAlignmentPolicy:
         assert ss.alpha == 1.0 and ss.theta == 1.0
         assert ss.extra["degenerate_cosine"] == 1
 
-    def test_absolute_variant_uses_current_y(self):
-        prob, dx = self._setup()
-        pol = GradientAlignmentPolicy(variant="absolute_y")
-        ss = StepsizeState(alpha=1.0, beta=1.0, theta=1.0, R=1.0, extra={"eps": 0.5})
-        it = iterate_state(prob, dx.copy(), np.array([0.0, 2.0 * np.linalg.norm(dx)]))
-        # a delta_y residual aligned with dx must not drive the branch
-        pol.adjust_post(prob, it, np.zeros((2, 2)), dx.copy(), 1.0,
-                        ResidualReport(1.0, 1.0, 2.0), ss)
-        assert ss.alpha == pytest.approx(0.5, rel=1e-15)  # anti-aligned branch
 
-    def test_variant_validation(self):
-        with pytest.raises(ValueError):
-            GradientAlignmentPolicy(variant="nope")
+class TestZeroConstraintMap:
+    """lambda_max(AA^T) = 0 gives no default stepsize; ls copes on its own."""
+
+    @pytest.mark.parametrize(
+        "policy",
+        [FixedPolicy(), BalancedResidualPolicy(), GradientAlignmentPolicy(),
+         TuningFreePolicy(), SchedulePolicy([1.0, 1.0])],
+        ids=lambda policy: policy.name,
+    )
+    def test_default_stepsizes_name_the_zero_map(self, policy):
+        with pytest.raises(ValueError, match="constraint map is zero"):
+            solve(zero_map_problem(), policy, SolveConfig(max_iters=1))
+
+    def test_given_stepsizes_still_run(self):
+        for policy in (FixedPolicy(alpha=1.0, beta=1.0), TuningFreePolicy(eps=1.0),
+                       SchedulePolicy([1.0, 1.0, 1.0], R=1.0)):
+            trace = solve(zero_map_problem(), policy, SolveConfig(max_iters=2))
+            assert trace.status == "converged"  # X = 0 is optimal
 
 
 class TestLinesearchPolicy:
@@ -452,13 +458,17 @@ class TestTuningFreePolicy:
         assert ss.beta == pytest.approx(1.0 / eps, rel=1e-15)
 
     def test_zero_denominator_clamps_to_theta_max(self):
+        # at one-based iteration 100, omega = 1/2, so the blend of the clamp
+        # value theta_max is 1/2 + theta_max/2, exact in binary
         prob = small_rg(24)
-        pol = TuningFreePolicy(y_extrapolation="clamped")
+        pol = TuningFreePolicy()
         ss = pol.initial_state(prob)
         x_same = np.eye(5)
-        it = iterate_state(prob, x_same.copy(), np.zeros(3))
+        it = iterate_state(prob, x_same.copy(), np.zeros(3), k=99)
         pol.adjust_mid(prob, it, x_same, ss)
-        assert ss.theta == TuningFreePolicy.theta_max
+        factor = 0.5 + 0.5 * TuningFreePolicy.theta_max
+        assert ss.theta == factor
+        assert ss.alpha == factor * TuningFreePolicy.alpha_init
         assert ss.extra["tf_zero_denominator"] == 1
 
     def test_convex_blend_arithmetic(self):
@@ -474,26 +484,12 @@ class TestTuningFreePolicy:
         assert ss.alpha == pytest.approx(2.0 * alpha_before, rel=1e-14)
         assert ss.theta == pytest.approx(2.0, rel=1e-14)  # realized ratio
 
-    def test_clamped_variant_reports_raw_theta(self):
-        prob = small_rg(26)
-        pol = TuningFreePolicy(y_extrapolation="clamped")
-        ss = pol.initial_state(prob)
-        x_cur = np.diag([2.0, 0.0, 0.0, 0.0, 0.0])
-        x_new = np.diag([3.0, 0.0, 0.0, 0.0, 0.0])
-        it = iterate_state(prob, x_cur, np.zeros(3), k=99)
-        pol.adjust_mid(prob, it, x_new, ss)
-        assert ss.theta == pytest.approx(3.0, rel=1e-14)
-
     def test_eps_floor_enforced(self):
         prob = gen_maxcut(1, n=4, m_edges=3)  # lambda_max = 1
         with pytest.raises(ValueError):
             solve(prob, TuningFreePolicy(eps=1.0), SolveConfig(max_iters=1))
         trace = solve(prob, TuningFreePolicy(eps=2.0), SolveConfig(max_iters=5))
         assert trace.iterations == 5
-
-    def test_extrapolation_validation(self):
-        with pytest.raises(ValueError):
-            TuningFreePolicy(y_extrapolation="bogus")
 
 
 class TestSolveEngine:
