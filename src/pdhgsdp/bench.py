@@ -4,13 +4,14 @@ tables, and the eta grid search for the balancing policies."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping
 
 from .problems import SdpProblem, gen_maxcut, gen_random, gen_snl
 from .solver import (
+    DEFAULT_TOL,
     POLICY_NAMES,
     RunTrace,
     SolveConfig,
@@ -59,11 +60,17 @@ class BenchConfig:
     )
     policies: tuple[str, ...] = POLICY_NAMES
     ls_s_grid: tuple[float, ...] = DEFAULT_LS_GRID
-    tol: float = 1e-6
+    tol: float = DEFAULT_TOL
     sizes: Mapping[str, dict] = field(default_factory=dict)
     policy_params: Mapping[str, dict] = field(default_factory=dict)
 
     def __post_init__(self):
+        # a config may come from a JSON file, so check the types used below
+        if not isinstance(self.seeds, int) or self.seeds < 1:
+            raise ValueError(f"seeds must be an integer >= 1, got {self.seeds!r}")
+        for key in ("budgets", "sizes", "policy_params"):
+            if not isinstance(getattr(self, key), Mapping):
+                raise ValueError(f"{key} must be a mapping, got {getattr(self, key)!r}")
         for family in self.families:
             if family not in FAMILIES:
                 raise ValueError(f"unknown family {family!r}")
@@ -74,11 +81,25 @@ class BenchConfig:
                 raise ValueError(
                     f"budgets for {family} must be strictly increasing, got {budgets}"
                 )
-        if self.seeds < 1:
-            raise ValueError("need at least one seed")
-        for name in self.policies:
+        for name in (*self.policies, *self.policy_params):
             if name not in POLICY_NAMES:
                 raise ValueError(f"unknown policy {name!r}")
+        for _, factory in self.policy_factories():
+            factory()  # make_policy rejects a bad parameter before any solve
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "BenchConfig":
+        """Build from JSON-style data, whose lists stand for tuples (run_bench
+        takes each family's budgets as a tuple itself). A key that names no
+        field, or a value of a type its field cannot take, is a ValueError."""
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown bench config keys {unknown}")
+        kwargs = {key: tuple(v) if isinstance(v, list) else v for key, v in data.items()}
+        try:
+            return cls(**kwargs)
+        except TypeError as exc:
+            raise ValueError(f"malformed bench config: {exc}") from None
 
     def policy_factories(self) -> list[tuple[str, Callable[[], StepsizePolicy]]]:
         """Expand the policy list; the linesearch entry fans out over its
@@ -192,8 +213,7 @@ def grid_search_eta(
     split: Mapping[str, int] | None = None,
     sizes: Mapping[str, dict] | None = None,
     budgets: Mapping[str, int] | None = None,
-    tol: float = 1e-6,
-    eps0: float = 0.5,
+    tol: float = DEFAULT_TOL,
     progress: Callable[[str], None] | None = None,
 ) -> GridSearchResult:
     """For each eta in the grid, run the two balancing policies over the
@@ -211,7 +231,7 @@ def grid_search_eta(
             config = BenchConfig(
                 families=(family,), seeds=seeds, budgets={family: (budgets[family],)},
                 policies=names, tol=tol, sizes=sizes or {},
-                policy_params={name: {"eps0": eps0, "eta": eta} for name in names},
+                policy_params={name: {"eta": eta} for name in names},
             )
             tagged = None if progress is None else (
                 lambda msg, eta=eta: progress(f"eta={eta} {msg}"))

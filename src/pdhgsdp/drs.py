@@ -19,7 +19,6 @@ vectors and exists for verification at small n, not for production solving.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -105,9 +104,6 @@ class EquivalenceReport:
             "iters": self.iters,
             "pass": self.passed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
 
 
 def check_equivalence(

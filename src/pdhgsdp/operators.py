@@ -229,14 +229,6 @@ class LiftedOperator:
     R: float
     S: np.ndarray
 
-    @property
-    def m(self) -> int:
-        return self.T.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.T.shape[1]
-
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """T(v) for v in R^(n^2)."""
         return self.T @ vec

@@ -23,6 +23,7 @@ applications per iteration that serve all of its backtracking trials.
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from dataclasses import dataclass, field
@@ -58,7 +59,8 @@ class StepsizeState:
     """Current stepsize triple plus the preserved product target R.
 
     ``extra`` holds policy-local scalars (the decaying epsilon of the
-    balancing rules, degenerate-event counters, ...).
+    balancing rules, tf's spectral bound); ``counts`` holds the event
+    counters a policy bumps, which the trace reports as ``flags``.
     """
 
     alpha: float
@@ -66,6 +68,7 @@ class StepsizeState:
     theta: float
     R: float
     extra: dict = field(default_factory=dict)
+    counts: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -217,12 +220,10 @@ class StepsizePolicy:
         (y^{k+1}, A^T(y^{k+1})), or None to leave it to the engine."""
         return None
 
-    def adjust_post(
-        self, problem, it: IterateState, x_new, p_mat, alpha_x,
-        report: ResidualReport, ss: StepsizeState,
-    ) -> None:
+    def adjust_post(self, problem, it: IterateState, x_new, p_mat,
+                    report: ResidualReport, ss: StepsizeState) -> None:
         """Runs once the residuals are known; ``p_mat`` is the primal residual
-        matrix and ``alpha_x`` the primal stepsize of this iteration."""
+        matrix of this iteration."""
         pass
 
 
@@ -280,7 +281,7 @@ class _BalancingBase(StepsizePolicy):
     def _branch(self, it, x_new, p_mat, report, ss) -> int:
         raise NotImplementedError
 
-    def adjust_post(self, problem, it, x_new, p_mat, alpha_x, report, ss):
+    def adjust_post(self, problem, it, x_new, p_mat, report, ss):
         eps = ss.extra["eps"]
         branch = self._branch(it, x_new, p_mat, report, ss)
         if branch > 0:
@@ -298,20 +299,13 @@ class _BalancingBase(StepsizePolicy):
 
 class BalancedResidualPolicy(_BalancingBase):
     """Keep primal and dual residual norms comparable: grow alpha when
-    p > 2 d Delta, hold while d/2 <= p <= 2 d, shrink otherwise."""
+    p > 2 d, hold while d/2 <= p <= 2 d, shrink otherwise."""
 
     name = "bpdr"
 
-    def __init__(self, eps0: float = 0.5, eta: float = 0.95, delta: float = 1.0,
-                 alpha: float | None = None, beta: float | None = None):
-        super().__init__(eps0, eta, alpha, beta)
-        if delta <= 0:
-            raise ValueError(f"delta must be positive, got {delta}")
-        self.delta = delta
-
     def _branch(self, it, x_new, p_mat, report, ss) -> int:
         p, d = report.p_norm, report.d_norm
-        if p > 2.0 * d * self.delta:
+        if p > 2.0 * d:
             return 1
         if 0.5 * d <= p <= 2.0 * d:
             return 0
@@ -335,7 +329,7 @@ class GradientAlignmentPolicy(_BalancingBase):
         ndx = float(np.linalg.norm(dx))
         npm = float(np.linalg.norm(p_mat))
         if ndx == 0.0 or npm == 0.0:
-            ss.extra["degenerate_cosine"] = ss.extra.get("degenerate_cosine", 0) + 1
+            ss.counts["degenerate_cosine"] = ss.counts.get("degenerate_cosine", 0) + 1
             return 0
         w = frobenius_inner_dense(dx, p_mat) / (ndx * npm)
         if w > self.cosine_threshold:
@@ -460,7 +454,7 @@ class TuningFreePolicy(StepsizePolicy):
         den = float(np.linalg.norm(ref))
         if den == 0.0:
             clamped = self.theta_max
-            ss.extra["tf_zero_denominator"] = ss.extra.get("tf_zero_denominator", 0) + 1
+            ss.counts["tf_zero_denominator"] = ss.counts.get("tf_zero_denominator", 0) + 1
         else:
             ratio = float(np.linalg.norm(x_new)) / den
             clamped = min(max(ratio, self.theta_min), self.theta_max)
@@ -525,14 +519,6 @@ def _dense_initial(problem: SdpProblem, config: SolveConfig) -> tuple[np.ndarray
     return x, y
 
 
-_FLAG_KEYS = ("tf_zero_denominator", "degenerate_cosine")
-
-
-def _flags(ss: StepsizeState) -> dict:
-    """The event counters of ``ss.extra``, without policy-internal scalars."""
-    return {key: ss.extra[key] for key in _FLAG_KEYS if key in ss.extra}
-
-
 def solve(problem: SdpProblem, policy: StepsizePolicy,
           config: SolveConfig = SolveConfig()) -> RunTrace:
     """Run the engine until the stopping rule fires or the budget runs out.
@@ -576,10 +562,10 @@ def solve(problem: SdpProblem, policy: StepsizePolicy,
 
             converged = stop_check(report, config.tol)
             if not converged:
-                policy.adjust_post(problem, it, x_new, p_mat, alpha_x, report, ss)
+                policy.adjust_post(problem, it, x_new, p_mat, report, ss)
         except Exception as exc:  # surface any failure with the partial trace
             trace = RunTrace(rows, "error", SymMat(x_cur), y.copy(),
-                             flags=_flags(ss))
+                             flags=dict(ss.counts))
             raise SolveError(str(exc), trace) from exc
 
         x_cur, y, ax, aty = x_new, y_new, ax_new, aty_new
@@ -589,21 +575,22 @@ def solve(problem: SdpProblem, policy: StepsizePolicy,
             status = "converged"
             break
 
-    return RunTrace(rows, status, SymMat(x_cur), y.copy(), flags=_flags(ss))
+    return RunTrace(rows, status, SymMat(x_cur), y.copy(), flags=dict(ss.counts))
 
 
-POLICY_NAMES = ("fixed", "bpdr", "alv", "ls", "tf")
+POLICIES = {cls.name: cls for cls in (FixedPolicy, BalancedResidualPolicy,
+                                      GradientAlignmentPolicy, LinesearchPolicy,
+                                      TuningFreePolicy)}
+POLICY_NAMES = tuple(POLICIES)
 
 
 def make_policy(name: str, **kwargs) -> StepsizePolicy:
-    """Construct a policy by short name; kwargs go to the constructor."""
-    table = {
-        "fixed": FixedPolicy,
-        "bpdr": BalancedResidualPolicy,
-        "alv": GradientAlignmentPolicy,
-        "ls": LinesearchPolicy,
-        "tf": TuningFreePolicy,
-    }
-    if name not in table:
+    """Construct a policy by short name; kwargs go to the constructor, and a
+    keyword it does not take is a ValueError that names it."""
+    if name not in POLICIES:
         raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
-    return table[name](**kwargs)
+    try:
+        inspect.signature(POLICIES[name]).bind(**kwargs)
+    except TypeError as exc:
+        raise ValueError(f"policy {name!r}: {exc}") from None
+    return POLICIES[name](**kwargs)

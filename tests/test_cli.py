@@ -1,12 +1,16 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from pdhgsdp.cli import main
+import pdhgsdp.bench as bench_mod
+from pdhgsdp.bench import make_problem
+from pdhgsdp.cli import build_parser, main
 from pdhgsdp.linalg import SymMat
 from pdhgsdp.operators import ConstraintMap
 from pdhgsdp.problems import SdpProblem, gen_maxcut, write_instance
+from pdhgsdp.solver import POLICY_NAMES, SolveConfig, make_policy, solve
 
 
 def run_cli(*args):
@@ -79,11 +83,49 @@ class TestSolveCommand:
                 "--n", "6", "--m", "4", "--max-iters", "50", "--out", str(out),
             ) in (0, 2)
             outs.append(out.read_text())
+        assert strip_wall_ms(outs[0]) == strip_wall_ms(outs[1])
 
-        def strip_wall(text):
-            return [",".join(line.split(",")[:-1]) for line in text.splitlines()]
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_no_flag_runs_the_library_defaults(self, tmp_path, policy):
+        out = tmp_path / "trace.csv"
+        assert run_cli("solve", "--problem", "rg", "--policy", policy, "--n", "6",
+                       "--m", "4", "--max-iters", "50", "--out", str(out)) in (0, 2)
+        trace = solve(make_problem("rg", 1, {"rg": {"n": 6, "m": 4}}),
+                      make_policy(policy), SolveConfig(max_iters=50))
+        assert strip_wall_ms(out.read_text()) == strip_wall_ms(trace.to_csv())
 
-        assert strip_wall(outs[0]) == strip_wall(outs[1])
+    @pytest.mark.parametrize("flags", [
+        ("--policy", "tf", "--s", "0.2"),  # a flag of another policy
+        ("--policy", "tf", "--n", "0"),  # an invalid size, once replaced by 50
+        ("--policy", "fixed", "--radius", "0.5"),  # an snl flag on rg
+    ], ids=["foreign-policy-flag", "zero-size", "foreign-instance-flag"])
+    def test_rejected_flag_exit_one(self, tmp_path, capsys, flags):
+        code = run_cli("solve", "--problem", "rg", "--max-iters", "5",
+                       "--out", str(tmp_path / "t.csv"), *flags)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def strip_wall_ms(text):
+    return [",".join(line.split(",")[:-1]) for line in text.splitlines()]
+
+
+def test_library_keyword_flags_default_to_none():
+    """Flags that set a library keyword restate no default. verify's --n and
+    --m are its own small sizes for the lifted oracle, not gen_random's."""
+    keyword_flags = {
+        "solve": {"eps0", "eta", "s", "mu", "eps", "n", "m", "radius", "degree", "p",
+                  "max_iters", "tol"},
+        "bench": {"families", "seeds", "policies", "tol"},
+        "verify": {"tol"},
+        "grid-search": {"etas", "tol"},
+    }
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    for command, dests in keyword_flags.items():
+        actions = {a.dest: a for a in subparsers.choices[command]._actions}
+        assert dests <= actions.keys()
+        assert {dest: actions[dest].default for dest in dests} == dict.fromkeys(dests)
 
 
 class TestVerifyCommand:
@@ -146,6 +188,27 @@ class TestBenchCommand:
         lines = (out_dir / "table.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 2  # one policy, two budgets
         capsys.readouterr()
+
+    @pytest.mark.parametrize("text", [
+        '{"seeds": "2"}',
+        '{"policy_params": {"tf": {"s": 1}}}',
+        '{"budgets": [100]}',
+        '{"seed": 1}',
+        '[{"families": ["rg"]}]',
+        '{"policy_params": {"bpdr": {"eps0": "0.3"}}}',
+    ], ids=["seeds-string", "foreign-policy-param", "budgets-list", "unknown-key",
+            "top-level-array", "param-of-wrong-type"])
+    def test_malformed_config_exit_one(self, tmp_path, capsys, monkeypatch, text):
+        def no_instances(*args):
+            raise AssertionError("an instance was generated")
+
+        monkeypatch.setattr(bench_mod, "make_problem", no_instances)
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(text)
+        code = run_cli("bench", "--config", str(cfg_path),
+                       "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("budgets", [{"rg": [200]}, {"rg": [200], "mc": []}])
     def test_family_without_budgets_exit_one(self, tmp_path, capsys, budgets):

@@ -236,17 +236,17 @@ class TestBalancedResidualPolicy:
         pol = BalancedResidualPolicy()
         ss = self._state()
         rep = ResidualReport(1.0, 1.0, 2.0)
-        pol.adjust_post(prob, self._iterate(prob), None, None, ss.alpha, rep, ss)
+        pol.adjust_post(prob, self._iterate(prob), None, None, rep, ss)
         assert ss.alpha == 0.5 and ss.beta == 0.8 and ss.theta == 1.0
         assert ss.extra["eps"] == 0.5 * 0.95
 
     def test_grow_branch_doubles_alpha(self):
-        # p = 10 d with eps = 0.5 and delta = 1: alpha doubles, beta halves
+        # p = 10 d with eps = 0.5: alpha doubles, beta halves
         prob = small_rg(14)
         pol = BalancedResidualPolicy(eps0=0.5)
         ss = self._state(alpha=0.5, beta=0.8)
         rep = ResidualReport(10.0, 1.0, 101.0)
-        pol.adjust_post(prob, self._iterate(prob), None, None, ss.alpha, rep, ss)
+        pol.adjust_post(prob, self._iterate(prob), None, None, rep, ss)
         assert ss.alpha == pytest.approx(1.0, rel=1e-15)
         assert ss.beta == pytest.approx(0.4, rel=1e-12)
         assert ss.theta == pytest.approx(2.0, rel=1e-15)
@@ -256,7 +256,7 @@ class TestBalancedResidualPolicy:
         pol = BalancedResidualPolicy(eps0=0.5)
         ss = self._state(alpha=1.0, beta=0.4)
         rep = ResidualReport(0.1, 1.0, 1.01)
-        pol.adjust_post(prob, self._iterate(prob), None, None, ss.alpha, rep, ss)
+        pol.adjust_post(prob, self._iterate(prob), None, None, rep, ss)
         assert ss.alpha == pytest.approx(0.5, rel=1e-15)
         assert ss.theta == pytest.approx(0.5, rel=1e-15)
 
@@ -274,15 +274,20 @@ class TestBalancedResidualPolicy:
         eps = [ss.extra["eps"]]
         it = self._iterate(prob)
         for _ in range(5):
-            pol.adjust_post(prob, it, None, None, ss.alpha,
-                            ResidualReport(1.0, 1.0, 2.0), ss)
+            pol.adjust_post(prob, it, None, None, ResidualReport(1.0, 1.0, 2.0), ss)
             eps.append(ss.extra["eps"])
         for before, after in zip(eps, eps[1:]):
             assert after == before * 0.95  # exact geometric decay
 
+    @pytest.mark.parametrize("ratio, branch", [(2.0, 0), (3.0, 1)])
+    def test_grow_threshold_is_twice_the_dual_residual(self, ratio, branch):
+        # p = 2 d still holds; anything above it grows alpha
+        pol = BalancedResidualPolicy()
+        rep = ResidualReport(ratio * 0.7, 0.7, 0.0)
+        assert pol._branch(None, None, None, rep, None) == branch
+
     def test_param_validation(self):
-        for bad in ({"eps0": 0.0}, {"eps0": 1.0}, {"eta": 0.0}, {"eta": 1.0},
-                    {"delta": 0.0}):
+        for bad in ({"eps0": 0.0}, {"eps0": 1.0}, {"eta": 0.0}, {"eta": 1.0}):
             with pytest.raises(ValueError):
                 BalancedResidualPolicy(**bad)
 
@@ -305,8 +310,7 @@ class TestGradientAlignmentPolicy:
         y_new = -np.asarray(delta_y, dtype=float)  # so y_old - y_new = delta_y
         # the engine's primal residual matrix, here with alpha = 1
         p_mat = (it.X_cur - x_new) - adjoint(prob.constraints, it.y - y_new)
-        pol.adjust_post(prob, it, x_new, p_mat, 1.0,
-                        ResidualReport(1.0, 1.0, 2.0), ss)
+        pol.adjust_post(prob, it, x_new, p_mat, ResidualReport(1.0, 1.0, 2.0), ss)
         return ss
 
     def test_parallel_residual_grows_alpha(self):
@@ -334,10 +338,10 @@ class TestGradientAlignmentPolicy:
         ss = StepsizeState(alpha=1.0, beta=1.0, theta=1.0, R=1.0, extra={"eps": 0.5})
         x_same = dx.copy()
         it = iterate_state(prob, dx.copy(), np.zeros(2))
-        pol.adjust_post(prob, it, x_same, np.zeros((2, 2)), 1.0,
+        pol.adjust_post(prob, it, x_same, np.zeros((2, 2)),
                         ResidualReport(0.0, 0.0, 0.0), ss)
         assert ss.alpha == 1.0 and ss.theta == 1.0
-        assert ss.extra["degenerate_cosine"] == 1
+        assert ss.counts == {"degenerate_cosine": 1}
 
 
 class TestZeroConstraintMap:
@@ -469,7 +473,7 @@ class TestTuningFreePolicy:
         factor = 0.5 + 0.5 * TuningFreePolicy.theta_max
         assert ss.theta == factor
         assert ss.alpha == factor * TuningFreePolicy.alpha_init
-        assert ss.extra["tf_zero_denominator"] == 1
+        assert ss.counts == {"tf_zero_denominator": 1}
 
     def test_convex_blend_arithmetic(self):
         # at one-based iteration 100, omega = 1/2; clamp value 3 doubles alpha
@@ -653,7 +657,7 @@ class TestSolveErrors:
         class SeededBalancing(BalancedResidualPolicy):
             def initial_state(self, problem):
                 ss = super().initial_state(problem)
-                ss.extra["degenerate_cosine"] = 3
+                ss.counts["degenerate_cosine"] = 3
                 return ss
 
             def _branch(self, *args):
@@ -792,6 +796,8 @@ def test_make_policy_dispatch():
     assert make_policy("tf").name == "tf"
     with pytest.raises(ValueError):
         make_policy("nope")
+    with pytest.raises(ValueError, match="'s'"):
+        make_policy("tf", s=1.0)
 
 
 def old_dense_formula(prob):
