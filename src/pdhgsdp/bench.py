@@ -3,7 +3,9 @@ tables, and the eta grid search for the balancing policies."""
 
 from __future__ import annotations
 
+import inspect
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -21,7 +23,8 @@ from .solver import (
     solve,
 )
 
-FAMILIES = ("rg", "mc", "snl")
+_GENERATORS = {"rg": gen_random, "mc": gen_maxcut, "snl": gen_snl}
+FAMILIES = tuple(_GENERATORS)
 
 DEFAULT_BUDGETS: dict[str, tuple[int, ...]] = {
     "rg": (5000, 10000, 25000),
@@ -40,15 +43,10 @@ GRID_SEARCH_SPLIT = {"rg": 33, "mc": 34, "snl": 33}
 def make_problem(family: str, seed: int, sizes: Mapping[str, dict] | None = None) -> SdpProblem:
     """Generate one instance; ``sizes`` optionally overrides generator kwargs
     per family."""
-    kwargs = dict((sizes or {}).get(family, {}))
-    if family == "rg":
-        return gen_random(seed, **kwargs)
-    if family == "mc":
-        return gen_maxcut(seed, **kwargs)
-    if family == "snl":
-        problem, _ = gen_snl(seed, **kwargs)
-        return problem
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if family not in _GENERATORS:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    problem = _GENERATORS[family](seed, **(sizes or {}).get(family, {}))
+    return problem[0] if family == "snl" else problem  # drop snl's ground truth
 
 
 @dataclass(frozen=True)
@@ -68,6 +66,8 @@ class BenchConfig:
         # a config may come from a JSON file, so check the types used below
         if not isinstance(self.seeds, int) or self.seeds < 1:
             raise ValueError(f"seeds must be an integer >= 1, got {self.seeds!r}")
+        if not (isinstance(self.tol, numbers.Real) and self.tol > 0):
+            raise ValueError(f"tol must be a positive number, got {self.tol!r}")
         for key in ("budgets", "sizes", "policy_params"):
             if not isinstance(getattr(self, key), Mapping):
                 raise ValueError(f"{key} must be a mapping, got {getattr(self, key)!r}")
@@ -77,10 +77,23 @@ class BenchConfig:
             budgets = self.budgets.get(family)
             if not budgets:
                 raise ValueError(f"no budgets given for family {family!r}")
+            if not all(isinstance(b, int) and b >= 1 for b in budgets):
+                raise ValueError(
+                    f"budgets for {family} must be integers >= 1, got {budgets}"
+                )
             if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
                 raise ValueError(
                     f"budgets for {family} must be strictly increasing, got {budgets}"
                 )
+        for family, kwargs in self.sizes.items():
+            if family not in FAMILIES:
+                raise ValueError(f"sizes name unknown family {family!r}")
+            if not isinstance(kwargs, Mapping):
+                raise ValueError(f"sizes for {family} must be a mapping, got {kwargs!r}")
+            try:
+                inspect.signature(_GENERATORS[family]).bind(0, **kwargs)
+            except TypeError as exc:
+                raise ValueError(f"sizes for {family}: {exc}") from None
         for name in (*self.policies, *self.policy_params):
             if name not in POLICY_NAMES:
                 raise ValueError(f"unknown policy {name!r}")

@@ -226,7 +226,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, RuntimeError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

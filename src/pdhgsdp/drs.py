@@ -1,8 +1,8 @@
 """Non-stationary Douglas-Rachford splitting on the lifted inclusion, used as
 an independent oracle for the PDHG engine.
 
-The lifted variable is (Z, Z_hat) with Z symmetric n-by-n and Z_hat a plain
-vector in R^(n^2) (the lifting operator T acts on vectorized matrices). One
+The lifted variable is (Z, Z_hat) with Z symmetric n-by-n and Z_hat a vector
+in R^m, on which the lifting operator T (an m-by-m matrix) acts. One
 splitting step with stepsizes (alpha_prev, alpha_k) and ratio
 theta = alpha_k/alpha_prev is
 
@@ -13,13 +13,14 @@ theta = alpha_k/alpha_prev is
 
 The engine's trajectory must satisfy F^k = X^k and the correspondence
 Z^{k+1} = X^k - alpha_k A^T(y^k), Z_hat^{k+1} = -alpha_k T^T(y^k), which is
-what :func:`check_equivalence` measures. This oracle materializes n^2-wide
-vectors and exists for verification at small n, not for production solving.
+what :func:`check_equivalence` measures, step by step as the engine runs. The
+oracle keeps dense n-by-n iterates and exists for verification at small n, not
+for production solving.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +34,7 @@ from .solver import SchedulePolicy, SolveConfig, _dense_initial, default_stepsiz
 
 @dataclass
 class LiftedState:
-    """Iterate of the lifted splitting: Z symmetric, Z_hat vectorized."""
+    """Iterate of the lifted splitting: Z symmetric n-by-n, Z_hat in R^m."""
 
     Z: np.ndarray
     Z_hat: np.ndarray
@@ -65,9 +66,9 @@ def resolvent_g(
     resolvent is stepsize-free).
     """
     cmap = problem.constraints
-    resid = forward(cmap, v) + lifted.apply(v_hat) - problem.b
+    resid = forward(cmap, v) + lifted.T @ v_hat - problem.b
     w = lifted.R * resid
-    return v - adjoint(cmap, w), v_hat - lifted.apply_t(w)
+    return v - adjoint(cmap, w), v_hat - lifted.T.T @ w
 
 
 def drs_step(
@@ -133,46 +134,33 @@ def check_equivalence(
             f"schedule must provide iters+1 = {iters + 1} values, got {len(alphas)}"
         )
 
-    r = default_stepsize_product(lambda_max_AAt(problem.constraints))
-    lifted = build_T(problem.constraints, r)
+    cmap = problem.constraints
+    r = default_stepsize_product(lambda_max_AAt(cmap))
+    lifted = build_T(cmap, r)
     factor = 1.25 if break_product else 1.0
     policy = SchedulePolicy(alphas, R=r, product_factor=factor)
-
-    x_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-
-    def record(_k: int, x_new: np.ndarray, y_new: np.ndarray) -> None:
-        x_hist.append(x_new.copy())
-        y_hist.append(y_new.copy())
-
-    config = SolveConfig(max_iters=iters, tol=1e-300, X0=X0, y0=y0,
-                         callback=record)
-    solve(problem, policy, config)
-
-    x0_dense, y0_vec = _dense_initial(problem, config)
-    x_hist.insert(0, x0_dense)
-    y_hist.insert(0, y0_vec)
-
     a = policy.alpha_at
-    state = LiftedState(
-        Z=x0_dense - a(0) * adjoint(problem.constraints, y0_vec),
-        Z_hat=-a(0) * lifted.apply_t(y0_vec),
-        k=1,
-    )
+    config = SolveConfig(max_iters=iters, tol=1e-300, X0=X0, y0=y0)
 
-    max_x = 0.0
-    max_z = 0.0
-    for k in range(1, iters + 1):
+    x0, y0_vec = _dense_initial(problem, config)
+    state = LiftedState(Z=x0 - a(0) * adjoint(cmap, y0_vec),
+                        Z_hat=-a(0) * (lifted.T.T @ y0_vec), k=1)
+    max_x = max_z = 0.0
+
+    def compare(j: int, x: np.ndarray, y: np.ndarray) -> None:
+        # the engine's 0-based iteration j yields (X^k, y^k) with k = j + 1
+        nonlocal state, max_x, max_z
+        k = j + 1
         f, _ = resolvent_f(state.Z, state.Z_hat, a(k - 1), problem)
-        max_x = max(max_x, float(np.linalg.norm(f - x_hist[k])))
+        max_x = max(max_x, float(np.linalg.norm(f - x)))
         state = drs_step(problem, lifted, state, a(k), a(k - 1))
-        z_ref = x_hist[k] - a(k) * adjoint(problem.constraints, y_hist[k])
-        z_hat_ref = -a(k) * lifted.apply_t(y_hist[k])
         max_z = max(
             max_z,
-            float(np.linalg.norm(state.Z - z_ref)),
-            float(np.linalg.norm(state.Z_hat - z_hat_ref)),
+            float(np.linalg.norm(state.Z - (x - a(k) * adjoint(cmap, y)))),
+            float(np.linalg.norm(state.Z_hat + a(k) * (lifted.T.T @ y))),
         )
+
+    solve(problem, policy, replace(config, callback=compare))
 
     return EquivalenceReport(
         max_x_defect=max_x,

@@ -218,32 +218,20 @@ def _power_iteration(matvec: Callable[[np.ndarray], np.ndarray], size: int,
 
 @dataclass(frozen=True)
 class LiftedOperator:
-    """Matrix representation T of the lifting operator, with T T^T = S where
-    S = (1/R) I - AA^T.
-
-    T has m rows of length n^2 acting on plainly vectorized matrices; only
-    the first m columns are nonzero.
-    """
+    """The lifting operator as an m-by-m matrix T with T T^T = S, where
+    S = (1/R) I - AA^T."""
 
     T: np.ndarray
     R: float
     S: np.ndarray
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """T(v) for v in R^(n^2)."""
-        return self.T @ vec
-
-    def apply_t(self, w: np.ndarray) -> np.ndarray:
-        """T^T(w) in R^(n^2)."""
-        return self.T.T @ w
-
 
 def build_T(cmap: ConstraintMap, R: float) -> LiftedOperator:
-    """Construct T with T T^T = (1/R) I - AA^T.
+    """Construct T with T T^T = (1/R) I - AA^T as the Cholesky factor of S.
 
-    Requires R < 1/lambda_max(AA^T) strictly so S is positive definite; the
-    rows are assembled from the eigendecomposition S = V diag(lam) V^T as
-    T = [V diag(sqrt(lam)) | 0], zero-padded to width n^2.
+    Requires R < 1/lambda_max(AA^T) strictly so S is positive definite; an R
+    so close to the bound that S is not positive definite in floating point
+    is rejected too.
     """
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
@@ -253,17 +241,12 @@ def build_T(cmap: ConstraintMap, R: float) -> LiftedOperator:
             "stepsize product violates Lemma-style positivity: "
             f"R={R} is not strictly below 1/lambda_max={1.0 / lam_max}"
         )
-    m, n = cmap.m, cmap.n
-    if m > n * n:
-        raise ValueError(f"need m <= n^2 to embed T, got m={m}, n^2={n * n}")
-    s = (1.0 / R) * np.eye(m) - gram(cmap)
-    vals, vecs = np.linalg.eigh(s)
-    if vals[0] < -1e-12:
+    s = (1.0 / R) * np.eye(cmap.m) - gram(cmap)
+    try:
+        t = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
         raise ValueError(
-            f"computed S has eigenvalue {vals[0]} below -1e-12; "
-            "stepsize product violates positivity beyond roundoff"
-        )
-    vals = np.maximum(vals, 0.0)
-    t = np.zeros((m, n * n))
-    t[:, :m] = vecs * np.sqrt(vals)
+            "stepsize product violates Lemma-style positivity: "
+            f"S = (1/R) I - AA^T is not positive definite at R={R}"
+        ) from None
     return LiftedOperator(T=t, R=float(R), S=s)

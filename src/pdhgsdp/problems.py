@@ -201,6 +201,10 @@ def gen_snl(
     """
     if p < 1:
         raise ValueError(f"ambient dimension must be >= 1, got {p}")
+    if n_sensors < 1:
+        raise ValueError(f"need at least one sensor, got n_sensors={n_sensors}")
+    if degree < 1:
+        raise ValueError(f"degree must be >= 1, got {degree}")
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
 

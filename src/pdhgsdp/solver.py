@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -427,6 +428,8 @@ class TuningFreePolicy(StepsizePolicy):
     _EPS_MARGIN = 1.0 + 1e-6
 
     def __init__(self, eps: float | None = None):
+        if eps is not None and not (isinstance(eps, numbers.Real) and eps > 0):
+            raise ValueError(f"eps must be a positive number, got {eps!r}")
         self.eps = eps
 
     def initial_state(self, problem: SdpProblem) -> StepsizeState:

@@ -105,6 +105,17 @@ class TestSolveCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("flags", [
+        ("--degree", "0"),  # once resampled 50 geometries, then a traceback
+        ("--n", "0"),  # once solved a 2x2 instance with no sensor
+        ("--radius", "1e-6"),  # a geometry that never connects
+    ], ids=["zero-degree", "no-sensor", "unconnected"])
+    def test_snl_sizes_exit_one(self, tmp_path, capsys, flags):
+        code = run_cli("solve", "--problem", "snl", "--policy", "fixed",
+                       "--max-iters", "5", "--out", str(tmp_path / "t.csv"), *flags)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 def strip_wall_ms(text):
     return [",".join(line.split(",")[:-1]) for line in text.splitlines()]
@@ -144,6 +155,14 @@ class TestVerifyCommand:
         out = tmp_path / "verify.json"
         code = run_cli("verify", "--schedule", "geometric", "--out", str(out))
         assert code == 0
+        capsys.readouterr()
+
+    def test_more_constraints_than_entries_passes(self, tmp_path, capsys):
+        # m = 12 > n^2 = 9: the lifting lives in R^m, so no limit applies
+        out = tmp_path / "verify.json"
+        code = run_cli("verify", "--n", "3", "--m", "12", "--out", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())["pass"] is True
         capsys.readouterr()
 
     def test_break_product_exit_three(self, tmp_path, capsys):
@@ -205,6 +224,27 @@ class TestBenchCommand:
         monkeypatch.setattr(bench_mod, "make_problem", no_instances)
         cfg_path = tmp_path / "bench.json"
         cfg_path.write_text(text)
+        code = run_cli("bench", "--config", str(cfg_path),
+                       "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("entries", [
+        {"tol": "x"},
+        {"budgets": {"rg": ["a", "b"]}},
+        {"budgets": {"rg": [1.5, 2.5]}},
+        {"sizes": {"rg": {"bogus": 1}}},
+        {"policies": ["tf"], "policy_params": {"tf": {"eps": "x"}}},
+    ], ids=["tol-string", "budget-strings", "budget-floats", "unknown-size",
+            "tf-eps-string"])
+    def test_malformed_value_exit_one(self, tmp_path, capsys, monkeypatch, entries):
+        def no_instances(*args):
+            raise AssertionError("an instance was generated")
+
+        monkeypatch.setattr(bench_mod, "make_problem", no_instances)
+        cfg = {"families": ["rg"], "seeds": 1, "policies": ["fixed"], **entries}
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps(cfg))
         code = run_cli("bench", "--config", str(cfg_path),
                        "--out-dir", str(tmp_path / "out"))
         assert code == 1

@@ -40,15 +40,15 @@ class TestResolventF:
         prob_zero_c = prob.__class__(
             C=SymMat.zeros(3), constraints=prob.constraints, b=prob.b, meta={}
         )
-        out, out_hat = resolvent_f(z, np.zeros(9), 0.5, prob_zero_c)
+        out, out_hat = resolvent_f(z, np.zeros(prob.m), 0.5, prob_zero_c)
         np.testing.assert_allclose(out, z, atol=1e-14)
-        np.testing.assert_array_equal(out_hat, np.zeros(9))
+        np.testing.assert_array_equal(out_hat, np.zeros(prob.m))
 
     def test_cancellation_to_zero(self):
         prob, _ = setup_problem(1)
         alpha = 0.7
         z = alpha * prob.C.to_dense()
-        out, _ = resolvent_f(z, np.zeros(9), alpha, prob)
+        out, _ = resolvent_f(z, np.zeros(prob.m), alpha, prob)
         np.testing.assert_allclose(out, np.zeros((3, 3)), atol=1e-14)
 
     def test_matches_prox_oracle(self):
@@ -56,14 +56,14 @@ class TestResolventF:
         rng = np.random.default_rng(3)
         z = rand_sym(rng, 3)
         alpha = 0.4
-        out, _ = resolvent_f(z, np.zeros(9), alpha, prob)
+        out, _ = resolvent_f(z, np.zeros(prob.m), alpha, prob)
         oracle = proj_psd_dense(z - alpha * prob.C.to_dense())
         np.testing.assert_allclose(out, oracle, atol=1e-12)
 
     def test_alpha_validation(self):
         prob, _ = setup_problem(4)
         with pytest.raises(ValueError):
-            resolvent_f(np.eye(3), np.zeros(9), 0.0, prob)
+            resolvent_f(np.eye(3), np.zeros(prob.m), 0.0, prob)
 
 
 class TestResolventG:
@@ -71,7 +71,7 @@ class TestResolventG:
         prob, lifted = setup_problem(5)
         rng = np.random.default_rng(6)
         # project an arbitrary point once, then project again
-        v, v_hat = rand_sym(rng, 3), rng.standard_normal(9)
+        v, v_hat = rand_sym(rng, 3), rng.standard_normal(prob.m)
         g1, g1_hat = resolvent_g(v, v_hat, 0.3, prob, lifted)
         g2, g2_hat = resolvent_g(g1, g1_hat, 0.3, prob, lifted)
         np.testing.assert_allclose(g2, g1, atol=1e-11)
@@ -81,15 +81,15 @@ class TestResolventG:
         prob, lifted = setup_problem(7)
         rng = np.random.default_rng(8)
         for _ in range(10):
-            v, v_hat = rand_sym(rng, 3), rng.standard_normal(9)
+            v, v_hat = rand_sym(rng, 3), rng.standard_normal(prob.m)
             g, g_hat = resolvent_g(v, v_hat, 0.3, prob, lifted)
-            resid = forward(prob.constraints, g) + lifted.apply(g_hat) - prob.b
+            resid = forward(prob.constraints, g) + lifted.T @ g_hat - prob.b
             assert np.linalg.norm(resid) < 1e-10
 
     def test_matches_kkt_least_squares_oracle(self):
         prob, lifted = setup_problem(9)
         rng = np.random.default_rng(10)
-        v, v_hat = rand_sym(rng, 3), rng.standard_normal(9)
+        v, v_hat = rand_sym(rng, 3), rng.standard_normal(prob.m)
         g, g_hat = resolvent_g(v, v_hat, 0.3, prob, lifted)
         # dense normal-equations projection onto {B u = b}, B = [A | T]
         big = np.hstack([dense_stack(prob.constraints).reshape(prob.m, -1), lifted.T])
@@ -106,8 +106,8 @@ class TestFirmNonexpansiveness:
         rng = np.random.default_rng(12)
         for _ in range(20):
             u, v = rand_sym(rng, 3), rand_sym(rng, 3)
-            ju, _ = resolvent_f(u, np.zeros(9), 0.5, prob)
-            jv, _ = resolvent_f(v, np.zeros(9), 0.5, prob)
+            ju, _ = resolvent_f(u, np.zeros(prob.m), 0.5, prob)
+            jv, _ = resolvent_f(v, np.zeros(prob.m), 0.5, prob)
             diff = ju - jv
             lhs = float(np.sum(diff * diff))
             rhs = float(np.sum(diff * (u - v)))
@@ -117,8 +117,8 @@ class TestFirmNonexpansiveness:
         prob, lifted = setup_problem(13)
         rng = np.random.default_rng(14)
         for _ in range(20):
-            u, uh = rand_sym(rng, 3), rng.standard_normal(9)
-            v, vh = rand_sym(rng, 3), rng.standard_normal(9)
+            u, uh = rand_sym(rng, 3), rng.standard_normal(prob.m)
+            v, vh = rand_sym(rng, 3), rng.standard_normal(prob.m)
             ju, juh = resolvent_g(u, uh, 0.5, prob, lifted)
             jv, jvh = resolvent_g(v, vh, 0.5, prob, lifted)
             d, dh = ju - jv, juh - jvh
@@ -139,7 +139,7 @@ class TestDrsStep:
         # theta = 1 reduces to z + J_g(2 J_f(z) - z) - J_f(z)
         prob, lifted = setup_problem(16)
         rng = np.random.default_rng(17)
-        z, z_hat = rand_sym(rng, 3), rng.standard_normal(9)
+        z, z_hat = rand_sym(rng, 3), rng.standard_normal(prob.m)
         state = drs_step(prob, lifted, LiftedState(z.copy(), z_hat.copy(), 1),
                          alpha_k=0.6, alpha_prev=0.6)
         f, f_hat = resolvent_f(z, z_hat, 0.6, prob)
@@ -152,7 +152,7 @@ class TestDrsStep:
         # must not move
         prob, lifted = setup_problem(18)
         rng = np.random.default_rng(19)
-        state = LiftedState(rand_sym(rng, 3), rng.standard_normal(9), 1)
+        state = LiftedState(rand_sym(rng, 3), rng.standard_normal(prob.m), 1)
         prev = None
         for _ in range(20000):
             prev = (state.Z.copy(), state.Z_hat.copy())
@@ -169,14 +169,14 @@ class TestDrsStep:
     def test_single_step_matches_hand_unrolled_composition(self):
         prob, lifted = setup_problem(20)
         rng = np.random.default_rng(21)
-        z, z_hat = rand_sym(rng, 3), rng.standard_normal(9)
+        z, z_hat = rand_sym(rng, 3), rng.standard_normal(prob.m)
         a_prev, a_k = 0.5, 0.8
         theta = a_k / a_prev
         state = drs_step(prob, lifted, LiftedState(z.copy(), z_hat.copy(), 1),
                          alpha_k=a_k, alpha_prev=a_prev)
         # hand-unrolled: every stage recomputed from definitions
         f = proj_psd_dense(z - a_prev * prob.C.to_dense())
-        f_hat = np.zeros(9)
+        f_hat = np.zeros(prob.m)
         v = f + theta * (f - z)
         v_hat = f_hat + theta * (f_hat - z_hat)
         resid = forward(prob.constraints, v) + lifted.T @ v_hat - prob.b
@@ -189,7 +189,7 @@ class TestDrsStep:
 
     def test_stepsize_validation(self):
         prob, lifted = setup_problem(22)
-        state = LiftedState(np.eye(3), np.zeros(9), 1)
+        state = LiftedState(np.eye(3), np.zeros(prob.m), 1)
         with pytest.raises(ValueError):
             drs_step(prob, lifted, state, alpha_k=0.0, alpha_prev=0.5)
 

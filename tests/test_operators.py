@@ -173,14 +173,28 @@ class TestBuildT:
         # S itself is positive semidefinite
         assert np.linalg.eigvalsh(s)[0] >= -1e-10
 
-    def test_apply_matches_matrix(self):
+    def test_more_constraints_than_entries(self):
+        # m > n^2: the Gram is singular, yet S is positive definite
         rng = np.random.default_rng(9)
-        cmap = random_map(rng, 3, 3)
-        lifted = build_T(cmap, 0.9 / lambda_max_AAt(cmap))
-        v = rng.standard_normal(9)
-        w = rng.standard_normal(3)
-        np.testing.assert_allclose(lifted.apply(v), lifted.T @ v)
-        np.testing.assert_allclose(lifted.apply_t(w), lifted.T.T @ w)
+        cmap = random_map(rng, 5, 2)
+        r = 0.9 / lambda_max_AAt(cmap)
+        lifted = build_T(cmap, r)
+        assert lifted.T.shape == (5, 5)
+        s = (1.0 / r) * np.eye(5) - gram(cmap)
+        assert np.linalg.norm(lifted.T @ lifted.T.T - s) < 1e-10
+
+    def test_indefinite_S_is_value_error(self, monkeypatch):
+        # a Gram whose top eigenvalue exceeds 1/R by 1e-13, unseen by the
+        # cached lambda_max: S is indefinite within roundoff and is refused
+        rng = np.random.default_rng(10)
+        cmap = random_map(rng, 4, 3)
+        lam = lambda_max_AAt(cmap)
+        true_gram = gram(cmap)
+        top = np.linalg.eigh(true_gram)[1][:, -1]
+        lifted_gram = true_gram + (lam + 1e-13) * np.outer(top, top)
+        monkeypatch.setattr(operators_module, "gram", lambda _cmap: lifted_gram)
+        with pytest.raises(ValueError, match="positivity"):
+            build_T(cmap, 0.5 / lam)
 
 
 def test_constraint_map_validation():

@@ -146,6 +146,11 @@ class TestGenSnl:
             gen_snl(1, m_anchors=2, n_sensors=12, radius=1e-6, degree=3,
                     max_retries=3)
 
+    @pytest.mark.parametrize("kwargs", [{"n_sensors": 0}, {"degree": 0}])
+    def test_empty_sizes_rejected_before_sampling(self, kwargs):
+        with pytest.raises(ValueError):
+            gen_snl(1, max_retries=0, **kwargs)
+
     def test_deterministic(self):
         pa, ta = gen_snl(5, m_anchors=3, n_sensors=7, radius=0.7, degree=4)
         pb, tb = gen_snl(5, m_anchors=3, n_sensors=7, radius=0.7, degree=4)
