@@ -6,7 +6,7 @@ SDPA sparse I/O, the PDHG engine with five stepsize policies, and a
 Douglas-Rachford oracle that cross-checks the engine trajectory.
 """
 
-from .linalg import SymMat, frobenius_inner
+from .linalg import SymMat
 from .operators import (
     ConstraintMap,
     LiftedOperator,
@@ -90,7 +90,6 @@ __all__ = [
     "check_equivalence",
     "constant_schedule",
     "drs_step",
-    "frobenius_inner",
     "gen_maxcut",
     "gen_random",
     "gen_snl",

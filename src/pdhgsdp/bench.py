@@ -49,6 +49,14 @@ def make_problem(family: str, seed: int, sizes: Mapping[str, dict] | None = None
     return problem[0] if family == "snl" else problem  # drop snl's ground truth
 
 
+def _fits(value, default) -> bool:
+    """Whether ``value`` has the type of a generator parameter's default; an
+    int stands for a float, and only a bool stands for a bool."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     families: tuple[str, ...] = FAMILIES
@@ -90,10 +98,16 @@ class BenchConfig:
                 raise ValueError(f"sizes name unknown family {family!r}")
             if not isinstance(kwargs, Mapping):
                 raise ValueError(f"sizes for {family} must be a mapping, got {kwargs!r}")
+            signature = inspect.signature(_GENERATORS[family])
             try:
-                inspect.signature(_GENERATORS[family]).bind(0, **kwargs)
+                signature.bind(0, **kwargs)
             except TypeError as exc:
                 raise ValueError(f"sizes for {family}: {exc}") from None
+            for key, value in kwargs.items():
+                default = signature.parameters[key].default
+                if not _fits(value, default):
+                    raise ValueError(f"sizes for {family}: {key} must be of type "
+                                     f"{type(default).__name__}, got {value!r}")
         for name in (*self.policies, *self.policy_params):
             if name not in POLICY_NAMES:
                 raise ValueError(f"unknown policy {name!r}")

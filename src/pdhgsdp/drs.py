@@ -54,7 +54,6 @@ def resolvent_f(
 def resolvent_g(
     v: np.ndarray,
     v_hat: np.ndarray,
-    alpha: float,
     problem: SdpProblem,
     lifted: LiftedOperator,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -62,8 +61,7 @@ def resolvent_g(
 
     The multiplier solves (AA^T + TT^T) w = A(V) + T(V_hat) - b, and since
     AA^T + TT^T = (1/R) I by construction, w = R (A(V) + T(V_hat) - b)
-    exactly; the resolvent parameter ``alpha`` does not enter (an indicator's
-    resolvent is stepsize-free).
+    exactly; no stepsize enters (an indicator's resolvent is stepsize-free).
     """
     cmap = problem.constraints
     resid = forward(cmap, v) + lifted.T @ v_hat - problem.b
@@ -85,7 +83,7 @@ def drs_step(
     f, f_hat = resolvent_f(state.Z, state.Z_hat, alpha_prev, problem)
     v = f + theta * (f - state.Z)
     v_hat = f_hat + theta * (f_hat - state.Z_hat)
-    g, g_hat = resolvent_g(v, v_hat, alpha_k, problem, lifted)
+    g, g_hat = resolvent_g(v, v_hat, problem, lifted)
     z_new = g + theta * (state.Z - f)
     z_hat_new = g_hat + theta * (state.Z_hat - f_hat)
     return LiftedState(Z=z_new, Z_hat=z_hat_new, k=state.k + 1)

@@ -36,10 +36,6 @@ class SymMat:
     def identity(cls, n: int) -> "SymMat":
         return cls(np.eye(n))
 
-    @classmethod
-    def diag(cls, values) -> "SymMat":
-        return cls(np.diag(np.asarray(values, dtype=float)))
-
     @property
     def n(self) -> int:
         return self.dense.shape[0]
@@ -48,39 +44,16 @@ class SymMat:
         """A writable copy of the stored array."""
         return self.dense.copy()
 
-    def access(self, i: int, j: int) -> float:
-        return float(self.dense[i, j])
-
     def norm(self) -> float:
         """Frobenius norm."""
         return float(np.linalg.norm(self.dense))
 
-    def __add__(self, other: "SymMat") -> "SymMat":
-        self._check_dim(other)
-        return SymMat(self.dense + other.dense)
-
     def __sub__(self, other: "SymMat") -> "SymMat":
-        self._check_dim(other)
-        return SymMat(self.dense - other.dense)
-
-    def __mul__(self, scalar: float) -> "SymMat":
-        return SymMat(self.dense * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SymMat":
-        return SymMat(-self.dense)
-
-    def _check_dim(self, other: "SymMat") -> None:
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-
-
-def frobenius_inner(a: SymMat, b: SymMat) -> float:
-    """<A, B> = sum_ij A_ij B_ij."""
-    a._check_dim(b)
-    return frobenius_inner_dense(a.dense, b.dense)
+        return SymMat(self.dense - other.dense)
 
 
 def frobenius_inner_dense(a: np.ndarray, b: np.ndarray) -> float:
+    """<A, B> = sum_ij A_ij B_ij."""
     return float(np.einsum("ij,ij->", a, b))

@@ -93,6 +93,8 @@ class ConstraintMap:
         return cmap
 
     def _hold(self, m: int, n: int, dense=None, coo=None) -> None:
+        if not np.all(np.isfinite(dense if coo is None else coo[2])):
+            raise ValueError("a constraint matrix has a non-finite entry")
         self.m, self.n, self.dense, self.coo = m, n, dense, coo
         self._lambda_max: float | None = None
 
@@ -165,16 +167,8 @@ def gram(cmap: ConstraintMap) -> np.ndarray:
     if cmap.coo is None:
         g = cmap.dense @ cmap.dense.T
     else:
-        # row i of G is A(A_i): scatter A_i into a scratch vec, gather A of it
-        rows, cols, vals = cmap.coo
-        g = np.empty((cmap.m, cmap.m))
-        scratch = np.zeros(cmap.n * cmap.n)
-        bounds = np.searchsorted(rows, np.arange(cmap.m + 1))
-        for i in range(cmap.m):
-            own = slice(bounds[i], bounds[i + 1])
-            scratch[cols[own]] = vals[own]
-            g[i] = np.bincount(rows, weights=vals * scratch[cols], minlength=cmap.m)
-            scratch[cols[own]] = 0.0
+        # row i of G is A(A_i) = A(A^T(e_i))
+        g = np.array([forward(cmap, adjoint(cmap, e)) for e in np.eye(cmap.m)])
     return 0.5 * (g + g.T)
 
 

@@ -21,6 +21,8 @@ import numpy as np
 from .linalg import SymMat, frobenius_inner_dense
 from .operators import ConstraintMap, adjoint, apply_A
 
+SNL_MAX_RETRIES = 50
+
 
 @dataclass(frozen=True)
 class SdpProblem:
@@ -41,6 +43,10 @@ class SdpProblem:
             raise ValueError(
                 f"b has shape {self.b.shape}, expected ({self.constraints.m},)"
             )
+        if not np.all(np.isfinite(self.b)):
+            raise ValueError("b has a non-finite entry")
+        if not np.all(np.isfinite(self.C.dense)):
+            raise ValueError("C has a non-finite entry")
 
     @property
     def n(self) -> int:
@@ -66,10 +72,6 @@ class SnlGroundTruth:
     sensors: np.ndarray
     edges_xx: tuple[tuple[int, int, float], ...]
     edges_ax: tuple[tuple[int, int, float], ...]
-
-    @property
-    def p(self) -> int:
-        return self.anchors.shape[1]
 
     @cached_property
     def z_star(self) -> SymMat:
@@ -185,7 +187,6 @@ def gen_snl(
     radius: float = 0.3,
     degree: int = 5,
     p: int = 2,
-    max_retries: int = 50,
 ) -> tuple[SdpProblem, SnlGroundTruth]:
     """Sensor network localization feasibility SDP.
 
@@ -197,7 +198,7 @@ def gen_snl(
     pinning the top-left block of Z to the identity. The objective is zero.
 
     Geometries leaving some sensor with no incident edge are resampled up to
-    ``max_retries`` times before erroring.
+    ``SNL_MAX_RETRIES`` times before erroring.
     """
     if p < 1:
         raise ValueError(f"ambient dimension must be >= 1, got {p}")
@@ -208,7 +209,7 @@ def gen_snl(
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
 
-    for attempt in range(max_retries):
+    for attempt in range(SNL_MAX_RETRIES):
         rng = np.random.default_rng((seed, attempt))
         anchors = rng.uniform(size=(m_anchors, p))
         sensors = rng.uniform(size=(n_sensors, p))
@@ -229,7 +230,7 @@ def gen_snl(
             break
     else:
         raise RuntimeError(
-            f"could not generate a fully connected geometry in {max_retries} tries "
+            f"could not generate a fully connected geometry in {SNL_MAX_RETRIES} tries "
             f"(seed={seed}); increase radius or degree"
         )
 
@@ -296,6 +297,10 @@ def gen_snl(
 # line 5: b as one line of m reals
 # then:   "matno blkno i j value" entries, matno 0 for C and 1..m for A_i,
 #         upper triangle only, 1-based indices.
+# On the four header lines the reader treats "{", "}", "(", ")" and "," as
+# blanks, as SDPA does, so "{2}" and "{48, -8, 20}" read as "2" and "48 -8 20".
+
+_HEADER_BLANKS = str.maketrans("{}(),", "     ")
 
 
 class SdpaFormatError(ValueError):
@@ -335,7 +340,8 @@ def write_instance(problem: SdpProblem, path) -> None:
 
 
 def read_instance(path) -> SdpProblem:
-    """Read an SDPA sparse file written by :func:`write_instance`.
+    """Read a single-block SDPA sparse file, as :func:`write_instance` writes
+    it or with SDPA's braces and commas on the header lines.
 
     Accepts leading comment lines starting with '*' or '"'. Raises
     :class:`SdpaFormatError` with a line number on malformed input.
@@ -373,23 +379,29 @@ def read_instance(path) -> SdpProblem:
         except ValueError:
             raise SdpaFormatError(f"line {lineno}: expected integer {what}, got {text!r}")
 
-    text, lineno = next_line("constraint count")
-    m = parse_int(text.split()[0], lineno, "constraint count")
+    def header(what: str) -> tuple[list[str], int]:
+        text, lineno = next_line(what)
+        fields = text.translate(_HEADER_BLANKS).split()
+        if not fields:
+            raise SdpaFormatError(f"line {lineno}: no {what} on the line")
+        return fields, lineno
+
+    fields, lineno = header("constraint count")
+    m = parse_int(fields[0], lineno, "constraint count")
     if m < 1:
         raise SdpaFormatError(f"line {lineno}: constraint count must be >= 1, got {m}")
 
-    text, lineno = next_line("block count")
-    nblocks = parse_int(text.split()[0], lineno, "block count")
+    fields, lineno = header("block count")
+    nblocks = parse_int(fields[0], lineno, "block count")
     if nblocks != 1:
         raise SdpaFormatError(f"line {lineno}: only single-block files supported, got {nblocks}")
 
-    text, lineno = next_line("block size")
-    n = parse_int(text.split("{")[0].replace("}", " ").split()[0], lineno, "block size")
+    fields, lineno = header("block size")
+    n = parse_int(fields[0], lineno, "block size")
     if n < 1:
         raise SdpaFormatError(f"line {lineno}: block size must be >= 1, got {n}")
 
-    text, lineno = next_line("right-hand side")
-    fields = text.replace(",", " ").split()
+    fields, lineno = header("right-hand side")
     if len(fields) != m:
         raise SdpaFormatError(
             f"line {lineno}: expected {m} right-hand-side values, got {len(fields)}"

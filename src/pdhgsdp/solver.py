@@ -263,18 +263,16 @@ class _BalancingBase(StepsizePolicy):
     by (1-eps_k); beta follows so alpha*beta stays R; theta reports the factor;
     eps decays geometrically each iteration."""
 
-    def __init__(self, eps0: float = 0.5, eta: float = 0.95,
-                 alpha: float | None = None, beta: float | None = None):
+    def __init__(self, eps0: float = 0.5, eta: float = 0.95):
         if not 0 < eps0 < 1:
             raise ValueError(f"eps0 must lie in (0,1), got {eps0}")
         if not 0 < eta < 1:
             raise ValueError(f"eta must lie in (0,1), got {eta}")
         self.eps0 = eps0
         self.eta = eta
-        self._fixed = FixedPolicy(alpha, beta)
 
     def initial_state(self, problem: SdpProblem) -> StepsizeState:
-        ss = self._fixed.initial_state(problem)
+        ss = FixedPolicy().initial_state(problem)
         ss.extra["eps"] = self.eps0
         return ss
 
@@ -357,26 +355,20 @@ class LinesearchPolicy(StepsizePolicy):
 
     name = "ls"
 
-    def __init__(self, s: float = 1.0, mu: float = 0.7, max_backtracks: int = 60,
-                 alpha0: float | None = None):
+    max_backtracks = 60
+
+    def __init__(self, s: float = 1.0, mu: float = 0.7):
         if s <= 0:
             raise ValueError(f"s must be positive, got {s}")
         if not 0 < mu < 1:
             raise ValueError(f"mu must lie in (0,1), got {mu}")
-        if max_backtracks < 0:
-            raise ValueError(f"max_backtracks must be >= 0, got {max_backtracks}")
         self.s = s
         self.mu = mu
-        self.max_backtracks = max_backtracks
-        self.alpha0 = alpha0
 
     def initial_state(self, problem: SdpProblem) -> StepsizeState:
-        if self.alpha0 is not None:
-            a0 = self.alpha0
-        else:
-            lam = lambda_max_AAt(problem.constraints)
-            # largest alpha passing the acceptance test for the worst dual step
-            a0 = 0.9 / math.sqrt(self.s * lam) if lam > 0 else 1.0
+        lam = lambda_max_AAt(problem.constraints)
+        # largest alpha passing the acceptance test for the worst dual step
+        a0 = 0.9 / math.sqrt(self.s * lam) if lam > 0 else 1.0
         return StepsizeState(alpha=a0, beta=self.s * a0, theta=1.0, R=self.s * a0 * a0)
 
     def dual_update(self, problem, it, x_new, ax_new, ss):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pdhgsdp.solver as solver_mod
 from pdhgsdp.bench import (
     DEFAULT_BUDGETS,
     BenchConfig,
@@ -56,6 +57,14 @@ class TestBenchConfig:
         with pytest.raises(ValueError, match="'rg'"):
             BenchConfig(families=("rg",), budgets={"rg": ()})
 
+    def test_size_values_typed_like_generator_defaults(self):
+        for sizes in ({"rg": {"n": "x"}}, {"rg": {"n": True}}, {"rg": {"m": 5.0}},
+                      {"snl": {"radius": "0.3"}}, {"mc": {"negate_objective": 1}}):
+            with pytest.raises(ValueError, match="must be of type"):
+                tiny_config(sizes=sizes)
+        # an int stands for a float, and a bool for a bool
+        tiny_config(sizes={"snl": {"radius": 1}, "mc": {"negate_objective": True}})
+
     def test_ls_grid_expansion(self):
         cfg = tiny_config(policies=("ls",), ls_s_grid=(0.1, 0.2, 1.0, 10.0))
         labels = [label for label, _ in cfg.policy_factories()]
@@ -107,16 +116,16 @@ class TestRunBench:
         assert lines[0] == "family,policy,budget,solved_fraction"
         assert len(lines) == 1 + 2 * 2  # policies x budgets
 
-    def test_run_errors_recorded_not_fatal(self):
-        # a linesearch configured to stall immediately must not kill the sweep
-        cfg = tiny_config(
-            policies=("ls",),
-            ls_s_grid=(4.0,),
-            policy_params={"ls": {"mu": 0.99, "max_backtracks": 0, "alpha0": 10.0}},
-        )
-        result = run_bench(cfg)
+    def test_run_errors_recorded_not_fatal(self, monkeypatch):
+        # a projection that fails in every solve must not kill the sweep
+        def failing_projection(x):
+            raise np.linalg.LinAlgError("eigensolver did not converge")
+
+        monkeypatch.setattr(solver_mod, "proj_psd_dense", failing_projection)
+        result = run_bench(tiny_config())
+        assert len(result.records) == 4
         assert all(rec.error is not None for rec in result.records)
-        assert result.fraction("rg", "ls_s4", 2000) == 0.0
+        assert result.fraction("rg", "tf", 2000) == 0.0
 
 
 class TestGridSearch:

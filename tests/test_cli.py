@@ -235,8 +235,10 @@ class TestBenchCommand:
         {"budgets": {"rg": [1.5, 2.5]}},
         {"sizes": {"rg": {"bogus": 1}}},
         {"policies": ["tf"], "policy_params": {"tf": {"eps": "x"}}},
+        {"sizes": {"rg": {"n": "x"}}},
+        {"sizes": {"rg": {"n": True}}},
     ], ids=["tol-string", "budget-strings", "budget-floats", "unknown-size",
-            "tf-eps-string"])
+            "tf-eps-string", "size-string", "size-bool"])
     def test_malformed_value_exit_one(self, tmp_path, capsys, monkeypatch, entries):
         def no_instances(*args):
             raise AssertionError("an instance was generated")

@@ -72,8 +72,8 @@ class TestResolventG:
         rng = np.random.default_rng(6)
         # project an arbitrary point once, then project again
         v, v_hat = rand_sym(rng, 3), rng.standard_normal(prob.m)
-        g1, g1_hat = resolvent_g(v, v_hat, 0.3, prob, lifted)
-        g2, g2_hat = resolvent_g(g1, g1_hat, 0.3, prob, lifted)
+        g1, g1_hat = resolvent_g(v, v_hat, prob, lifted)
+        g2, g2_hat = resolvent_g(g1, g1_hat, prob, lifted)
         np.testing.assert_allclose(g2, g1, atol=1e-11)
         np.testing.assert_allclose(g2_hat, g1_hat, atol=1e-11)
 
@@ -82,7 +82,7 @@ class TestResolventG:
         rng = np.random.default_rng(8)
         for _ in range(10):
             v, v_hat = rand_sym(rng, 3), rng.standard_normal(prob.m)
-            g, g_hat = resolvent_g(v, v_hat, 0.3, prob, lifted)
+            g, g_hat = resolvent_g(v, v_hat, prob, lifted)
             resid = forward(prob.constraints, g) + lifted.T @ g_hat - prob.b
             assert np.linalg.norm(resid) < 1e-10
 
@@ -90,7 +90,7 @@ class TestResolventG:
         prob, lifted = setup_problem(9)
         rng = np.random.default_rng(10)
         v, v_hat = rand_sym(rng, 3), rng.standard_normal(prob.m)
-        g, g_hat = resolvent_g(v, v_hat, 0.3, prob, lifted)
+        g, g_hat = resolvent_g(v, v_hat, prob, lifted)
         # dense normal-equations projection onto {B u = b}, B = [A | T]
         big = np.hstack([dense_stack(prob.constraints).reshape(prob.m, -1), lifted.T])
         u = np.concatenate([v.ravel(), v_hat])
@@ -119,8 +119,8 @@ class TestFirmNonexpansiveness:
         for _ in range(20):
             u, uh = rand_sym(rng, 3), rng.standard_normal(prob.m)
             v, vh = rand_sym(rng, 3), rng.standard_normal(prob.m)
-            ju, juh = resolvent_g(u, uh, 0.5, prob, lifted)
-            jv, jvh = resolvent_g(v, vh, 0.5, prob, lifted)
+            ju, juh = resolvent_g(u, uh, prob, lifted)
+            jv, jvh = resolvent_g(v, vh, prob, lifted)
             d, dh = ju - jv, juh - jvh
             lhs = float(np.sum(d * d) + dh @ dh)
             rhs = float(np.sum(d * (u - v)) + dh @ (uh - vh))
@@ -143,7 +143,7 @@ class TestDrsStep:
         state = drs_step(prob, lifted, LiftedState(z.copy(), z_hat.copy(), 1),
                          alpha_k=0.6, alpha_prev=0.6)
         f, f_hat = resolvent_f(z, z_hat, 0.6, prob)
-        g_out, g_hat = resolvent_g(2 * f - z, 2 * f_hat - z_hat, 0.6, prob, lifted)
+        g_out, g_hat = resolvent_g(2 * f - z, 2 * f_hat - z_hat, prob, lifted)
         np.testing.assert_allclose(state.Z, g_out + z - f, atol=1e-12)
         np.testing.assert_allclose(state.Z_hat, g_hat + z_hat - f_hat, atol=1e-12)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pdhgsdp.operators as operators_module
-from pdhgsdp.linalg import SymMat, frobenius_inner
+from pdhgsdp.linalg import SymMat, frobenius_inner_dense
 from pdhgsdp.operators import (
     ConstraintMap,
     apply_A,
@@ -80,7 +80,7 @@ class TestApplyAt:
             x = SymMat.from_dense(rng.standard_normal((5, 5)))
             y = rng.standard_normal(4)
             lhs = float(apply_A(cmap, x) @ y)
-            rhs = frobenius_inner(x, apply_At(cmap, y))
+            rhs = frobenius_inner_dense(x.dense, apply_At(cmap, y).dense)
             tol = 1e-10 * (1.0 + x.norm() * np.linalg.norm(y))
             assert abs(lhs - rhs) <= tol
 
@@ -105,7 +105,7 @@ class TestGram:
         oracle = np.empty((4, 4))
         for i in range(4):
             for j in range(4):
-                oracle[i, j] = frobenius_inner(mats[i], mats[j])
+                oracle[i, j] = frobenius_inner_dense(mats[i].dense, mats[j].dense)
         np.testing.assert_allclose(gram(cmap), oracle, rtol=1e-12)
 
     def test_gram_psd(self):
@@ -146,7 +146,7 @@ class TestLambdaMax:
 class TestBuildT:
     def test_single_constraint_unit_norm(self):
         a1 = SymMat.from_dense(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        assert frobenius_inner(a1, a1) == 1.0
+        assert frobenius_inner_dense(a1.dense, a1.dense) == 1.0
         lifted = build_T(ConstraintMap((a1,)), R=0.5)
         np.testing.assert_allclose(lifted.S, [[1.0]])
         assert np.linalg.norm(lifted.T[0]) == pytest.approx(1.0, rel=1e-12)
@@ -290,7 +290,7 @@ class TestStoredForms:
     def test_mats_and_triples_build_the_same_map(self):
         rng = np.random.default_rng(13)
         # diagonal matrices with about two nonzeros in 210 slots each
-        sparse = tuple(SymMat.diag(rng.standard_normal(20) * (rng.random(20) < 0.1))
+        sparse = tuple(SymMat(np.diag(rng.standard_normal(20) * (rng.random(20) < 0.1)))
                        for _ in range(15))
         for mats, dense in ((random_mats(rng, 4, 6), True), (sparse, False)):
             from_mats = ConstraintMap(mats)
@@ -323,6 +323,18 @@ class TestStoredForms:
         empty = ConstraintMap.from_triples(2, 3, [], [], [], [])
         np.testing.assert_array_equal(forward(empty, np.ones((3, 3))), np.zeros(2))
         assert lambda_max_AAt(empty) == 0.0
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, form, bad, monkeypatch):
+        mat = np.eye(3)
+        mat[0, 2] = mat[2, 0] = bad
+        builds = (lambda: ConstraintMap((SymMat.identity(3), SymMat(mat))),
+                  lambda: ConstraintMap.from_triples(2, 3, [0, 1], [0, 2], [0, 0],
+                                                     [1.0, bad]))
+        for build in builds:
+            with pytest.raises(ValueError, match="non-finite"):
+                forced(form, monkeypatch, build)
 
 
 class TestLambdaMaxBranches:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pdhgsdp.problems as problems_mod
 from pdhgsdp.linalg import SymMat
 from pdhgsdp.operators import apply_A, apply_At, lambda_max_AAt
 from pdhgsdp.problems import (
@@ -141,15 +142,17 @@ class TestGenSnl:
         np.testing.assert_allclose(z[:3, :3], np.eye(3), atol=1e-15)
         assert prob.m == len(truth.edges_xx) + len(truth.edges_ax) + 6
 
-    def test_unlocalizable_geometry_errors(self):
-        with pytest.raises(RuntimeError):
-            gen_snl(1, m_anchors=2, n_sensors=12, radius=1e-6, degree=3,
-                    max_retries=3)
+    def test_unlocalizable_geometry_errors(self, monkeypatch):
+        monkeypatch.setattr(problems_mod, "SNL_MAX_RETRIES", 3)
+        with pytest.raises(RuntimeError, match="in 3 tries"):
+            gen_snl(1, m_anchors=2, n_sensors=12, radius=1e-6, degree=3)
 
     @pytest.mark.parametrize("kwargs", [{"n_sensors": 0}, {"degree": 0}])
-    def test_empty_sizes_rejected_before_sampling(self, kwargs):
+    def test_empty_sizes_rejected_before_sampling(self, kwargs, monkeypatch):
+        # with no tries left, sampling first would raise RuntimeError instead
+        monkeypatch.setattr(problems_mod, "SNL_MAX_RETRIES", 0)
         with pytest.raises(ValueError):
-            gen_snl(1, max_retries=0, **kwargs)
+            gen_snl(1, **kwargs)
 
     def test_deterministic(self):
         pa, ta = gen_snl(5, m_anchors=3, n_sensors=7, radius=0.7, degree=4)
@@ -270,6 +273,44 @@ class TestSdpaRoundTrip:
         with pytest.raises(SdpaFormatError):
             read_instance(path)
 
+    def test_sdpa_header_style_reads_like_plain(self, tmp_path):
+        # SDPA's own files put braces, parentheses and commas on the header
+        entries = "0 1 1 2 -1.5\n1 1 1 1 1.0\n2 1 2 2 1.0\n3 1 1 2 0.5\n"
+        plain = tmp_path / "plain.dat-s"
+        plain.write_text("3\n1\n2\n48 -8 20\n" + entries)
+        styled = tmp_path / "styled.dat-s"
+        styled.write_text('"an SDPA example\n3 =mDIM\n1 =nBLOCK\n{2}\n'
+                          "{48, -8, 20}\n" + entries)
+        bracketed = tmp_path / "bracketed.dat-s"
+        bracketed.write_text("3\n(1)\n(2)\n(48,-8,20)\n" + entries)
+        want = read_instance(plain)
+        for path in (styled, bracketed):
+            got = read_instance(path)
+            assert (got.n, got.m) == (want.n, want.m)
+            np.testing.assert_array_equal(got.C.dense, want.C.dense)
+            np.testing.assert_array_equal(got.b, want.b)
+            np.testing.assert_array_equal(dense_mats(got.constraints),
+                                          dense_mats(want.constraints))
+
+    def test_header_line_without_number(self, tmp_path):
+        path = tmp_path / "bad.dat-s"
+        for lineno, body in enumerate(("{}\n1\n2\n1.0\n", "1\n( )\n2\n1.0\n",
+                                       "1\n1\n{}\n1.0\n", "1\n1\n2\n{,}\n"), 1):
+            path.write_text(body)
+            with pytest.raises(SdpaFormatError, match=f"line {lineno}:"):
+                read_instance(path)
+
+    @pytest.mark.parametrize("body,where", [
+        ("1\n1\n2\n1.0\n1 1 1 1 nan\n", "constraint matrix"),
+        ("1\n1\n2\n1.0\n0 1 1 2 -inf\n1 1 1 1 1.0\n", "C"),
+        ("1\n1\n2\ninf\n1 1 1 1 1.0\n", "b"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, body, where):
+        path = tmp_path / "bad.dat-s"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=f"{where} has a non-finite entry"):
+            read_instance(path)
+
     def test_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.dat-s"
         path.write_text("1\n1\n2\n1.0\n0 1 1 1 oops\n")
@@ -280,7 +321,7 @@ class TestSdpaRoundTrip:
         path = tmp_path / "lower.dat-s"
         path.write_text("1\n1\n2\n1.0\n0 1 2 1 4.0\n1 1 1 1 1.0\n")
         prob = read_instance(path)
-        assert prob.C.access(0, 1) == 4.0
+        assert prob.C.dense[0, 1] == 4.0
 
 
 def test_graph_laplacian_psd():
@@ -294,3 +335,16 @@ def test_problem_validation():
         SdpProblem(SymMat.identity(5), prob.constraints, prob.b)
     with pytest.raises(ValueError):
         SdpProblem(prob.C, prob.constraints, np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_problem_rejects_non_finite_data(bad):
+    prob = gen_random(1, n=4, m=3)
+    b = prob.b.copy()
+    b[1] = bad
+    with pytest.raises(ValueError, match="b has a non-finite entry"):
+        SdpProblem(prob.C, prob.constraints, b)
+    c = prob.C.to_dense()
+    c[2, 2] = bad
+    with pytest.raises(ValueError, match="C has a non-finite entry"):
+        SdpProblem(SymMat(c), prob.constraints, prob.b)

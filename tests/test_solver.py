@@ -367,8 +367,8 @@ class TestZeroConstraintMap:
 class TestLinesearchPolicy:
     def test_zero_map_accepts_first_trial(self):
         prob = zero_map_problem()
-        pol = LinesearchPolicy(s=2.0, alpha0=1.0)
-        ss = pol.initial_state(prob)
+        pol = LinesearchPolicy(s=2.0)
+        ss = pol.initial_state(prob)  # alpha0 = 1 on a zero map
         it = iterate_state(prob, np.zeros((3, 3)), np.zeros(1))
         x_new = np.eye(3)
         y, aty = pol.dual_update(prob, it, x_new, forward(prob.constraints, x_new), ss)
@@ -382,9 +382,9 @@ class TestLinesearchPolicy:
         # for the diag map, acceptance iff alpha <= 1/sqrt(s)
         prob = gen_maxcut(1, n=4, m_edges=3)
         s = 4.0
-        pol = LinesearchPolicy(s=s, mu=0.5, alpha0=1.0)  # first trial sqrt(2) > 1/2
+        pol = LinesearchPolicy(s=s, mu=0.5)
         ss = pol.initial_state(prob)
-        ss.alpha, ss.theta = 1.0, 1.0
+        ss.alpha, ss.theta = 1.0, 1.0  # first trial sqrt(2) > 1/2
         rng = np.random.default_rng(20)
         x_new = random_sym(rng, 4)
         x_cur = random_sym(rng, 4)
@@ -413,8 +413,9 @@ class TestLinesearchPolicy:
         # trial = a0*sqrt(2) fails, a0*sqrt(2)*0.7 fails, a0*sqrt(2)*0.49 passes
         s = 1.0
         a0 = 1.5 / np.sqrt(2.0)
-        pol = LinesearchPolicy(s=s, mu=mu, alpha0=a0)
+        pol = LinesearchPolicy(s=s, mu=mu)
         ss = pol.initial_state(prob)
+        ss.alpha = a0
         rng = np.random.default_rng(21)
         x_new = random_sym(rng, 4)
         it = iterate_state(prob, np.zeros((4, 4)), rng.standard_normal(4))
@@ -422,8 +423,11 @@ class TestLinesearchPolicy:
         assert ss.alpha == pytest.approx(1.5 * mu * mu, rel=1e-12)
 
     def test_stall_raises(self):
+        # on the diag map a trial passes iff alpha <= 1/sqrt(s) = 1/2, and the
+        # first one is 0.9/sqrt(s) * sqrt(2) > 1/2
         prob = gen_maxcut(3, n=4, m_edges=3)
-        pol = LinesearchPolicy(s=4.0, mu=0.99, max_backtracks=0, alpha0=1.0)
+        pol = LinesearchPolicy(s=4.0, mu=0.99)
+        pol.max_backtracks = 0
         ss = pol.initial_state(prob)
         rng = np.random.default_rng(22)
         x_new = random_sym(rng, 4)
@@ -433,7 +437,8 @@ class TestLinesearchPolicy:
 
     def test_stall_inside_solve_carries_trace(self):
         prob = gen_maxcut(4, n=4, m_edges=3)
-        pol = LinesearchPolicy(s=4.0, mu=0.99, max_backtracks=0, alpha0=1.0)
+        pol = LinesearchPolicy(s=4.0, mu=0.99)
+        pol.max_backtracks = 0
         with pytest.raises(SolveError) as excinfo:
             solve(prob, pol, SolveConfig(max_iters=10))
         assert excinfo.value.trace.status == "error"
@@ -443,8 +448,6 @@ class TestLinesearchPolicy:
             LinesearchPolicy(s=0.0)
         with pytest.raises(ValueError):
             LinesearchPolicy(s=1.0, mu=1.0)
-        with pytest.raises(ValueError):
-            LinesearchPolicy(max_backtracks=-1)
 
 
 class TestTuningFreePolicy:
