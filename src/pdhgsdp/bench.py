@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -19,6 +18,7 @@ from .solver import (
     SolveConfig,
     SolveError,
     StepsizePolicy,
+    _require_positive,
     make_policy,
     solve,
 )
@@ -71,11 +71,11 @@ class BenchConfig:
     policy_params: Mapping[str, dict] = field(default_factory=dict)
 
     def __post_init__(self):
-        # a config may come from a JSON file, so check the types used below
-        if not isinstance(self.seeds, int) or self.seeds < 1:
+        # a config may come from a JSON file, so check the types used below;
+        # `type(v) is int` turns away JSON's true, which Python counts as an int
+        if type(self.seeds) is not int or self.seeds < 1:
             raise ValueError(f"seeds must be an integer >= 1, got {self.seeds!r}")
-        if not (isinstance(self.tol, numbers.Real) and self.tol > 0):
-            raise ValueError(f"tol must be a positive number, got {self.tol!r}")
+        _require_positive("tol", self.tol)
         for key in ("budgets", "sizes", "policy_params"):
             if not isinstance(getattr(self, key), Mapping):
                 raise ValueError(f"{key} must be a mapping, got {getattr(self, key)!r}")
@@ -85,7 +85,7 @@ class BenchConfig:
             budgets = self.budgets.get(family)
             if not budgets:
                 raise ValueError(f"no budgets given for family {family!r}")
-            if not all(isinstance(b, int) and b >= 1 for b in budgets):
+            if not all(type(b) is int and b >= 1 for b in budgets):
                 raise ValueError(
                     f"budgets for {family} must be integers >= 1, got {budgets}"
                 )
@@ -111,6 +111,8 @@ class BenchConfig:
         for name in (*self.policies, *self.policy_params):
             if name not in POLICY_NAMES:
                 raise ValueError(f"unknown policy {name!r}")
+        if "s" in self.policy_params.get("ls", {}):
+            raise ValueError("ls takes its s from ls_s_grid, not from policy_params")
         for _, factory in self.policy_factories():
             factory()  # make_policy rejects a bad parameter before any solve
 
@@ -136,7 +138,7 @@ class BenchConfig:
             kwargs = self.policy_params.get(name, {})
             if name == "ls":
                 for s in self.ls_s_grid:
-                    factory = partial(make_policy, name, **{**kwargs, "s": s})
+                    factory = partial(make_policy, name, s=s, **kwargs)
                     out.append((f"ls_s{s:g}", factory))
             else:
                 out.append((name, partial(make_policy, name, **kwargs)))
@@ -237,17 +239,16 @@ class GridSearchResult:
 
 def grid_search_eta(
     etas: tuple[float, ...] = ETA_GRID,
-    split: Mapping[str, int] | None = None,
     sizes: Mapping[str, dict] | None = None,
     budgets: Mapping[str, int] | None = None,
     tol: float = DEFAULT_TOL,
     progress: Callable[[str], None] | None = None,
 ) -> GridSearchResult:
     """For each eta in the grid, run the two balancing policies over the
-    family-split instance pool and report, per policy, the fraction of
+    ``GRID_SEARCH_SPLIT`` instance pool and report, per policy, the fraction of
     instances on which that eta converged fastest (ties count for every tied
     eta; instances where no eta converges count for none)."""
-    split = dict(GRID_SEARCH_SPLIT if split is None else split)
+    split = GRID_SEARCH_SPLIT
     budgets = dict(budgets or {f: DEFAULT_BUDGETS[f][1] for f in split})
     names = ("bpdr", "alv")
 

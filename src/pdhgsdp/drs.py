@@ -20,16 +20,15 @@ for production solving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .linalg import SymMat
 from .operators import LiftedOperator, adjoint, build_T, forward, lambda_max_AAt
 from .problems import SdpProblem
 from .projections import proj_psd_dense
-from .solver import SchedulePolicy, SolveConfig, _dense_initial, default_stepsize_product, solve
+from .solver import SchedulePolicy, SolveConfig, default_stepsize_product, solve
 
 
 @dataclass
@@ -38,7 +37,6 @@ class LiftedState:
 
     Z: np.ndarray
     Z_hat: np.ndarray
-    k: int
 
 
 def resolvent_f(
@@ -86,7 +84,7 @@ def drs_step(
     g, g_hat = resolvent_g(v, v_hat, problem, lifted)
     z_new = g + theta * (state.Z - f)
     z_hat_new = g_hat + theta * (state.Z_hat - f_hat)
-    return LiftedState(Z=z_new, Z_hat=z_hat_new, k=state.k + 1)
+    return LiftedState(Z=z_new, Z_hat=z_hat_new)
 
 
 @dataclass(frozen=True)
@@ -107,42 +105,34 @@ class EquivalenceReport:
 
 def check_equivalence(
     problem: SdpProblem,
-    alphas: Sequence[float] | Callable[[int], float],
+    alphas: Callable[[int], float],
     iters: int,
     tol: float = 1e-8,
     break_product: bool = False,
-    X0: SymMat | np.ndarray | None = None,
-    y0: np.ndarray | None = None,
 ) -> EquivalenceReport:
-    """Run the PDHG engine and the splitting oracle side by side.
+    """Run the PDHG engine from its zero start and the splitting oracle from
+    Z = 0, Z_hat = 0 side by side.
 
-    ``alphas`` prescribes the primal stepsizes (callable on k, or a sequence
-    of length >= iters+1); the dual parameters are derived so the product and
-    ratio conditions hold, unless ``break_product`` deliberately corrupts the
-    product as a negative control. Reports the largest primal-iterate defect
-    ||X_pdhg - X_drs||_F and the largest correspondence defect on (Z, Z_hat);
-    the check passes iff both stay below ``tol``.
+    ``alphas(k)`` prescribes the primal stepsizes; the dual parameters are
+    derived so the product and ratio conditions hold, unless ``break_product``
+    deliberately corrupts the product as a negative control. Reports the
+    largest primal-iterate defect ||X_pdhg - X_drs||_F and the largest
+    correspondence defect on (Z, Z_hat); the check passes iff both stay below
+    ``tol``.
     """
     if iters < 1:
         raise ValueError(f"need iters >= 1, got {iters}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if not callable(alphas) and len(alphas) < iters + 1:
-        raise ValueError(
-            f"schedule must provide iters+1 = {iters + 1} values, got {len(alphas)}"
-        )
 
     cmap = problem.constraints
     r = default_stepsize_product(lambda_max_AAt(cmap))
     lifted = build_T(cmap, r)
-    factor = 1.25 if break_product else 1.0
-    policy = SchedulePolicy(alphas, R=r, product_factor=factor)
+    # the negative control gives the engine's dual steps a product 1.25 R that
+    # the lifting, built for R, does not match
+    policy = SchedulePolicy(alphas, R=1.25 * r if break_product else r)
     a = policy.alpha_at
-    config = SolveConfig(max_iters=iters, tol=1e-300, X0=X0, y0=y0)
-
-    x0, y0_vec = _dense_initial(problem, config)
-    state = LiftedState(Z=x0 - a(0) * adjoint(cmap, y0_vec),
-                        Z_hat=-a(0) * (lifted.T.T @ y0_vec), k=1)
+    state = LiftedState(Z=np.zeros((problem.n, problem.n)), Z_hat=np.zeros(problem.m))
     max_x = max_z = 0.0
 
     def compare(j: int, x: np.ndarray, y: np.ndarray) -> None:
@@ -158,7 +148,7 @@ def check_equivalence(
             float(np.linalg.norm(state.Z_hat + a(k) * (lifted.T.T @ y))),
         )
 
-    solve(problem, policy, replace(config, callback=compare))
+    solve(problem, policy, SolveConfig(max_iters=iters, tol=1e-300, callback=compare))
 
     return EquivalenceReport(
         max_x_defect=max_x,

@@ -12,6 +12,7 @@ All generators are deterministic in their seed. The three families:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -206,7 +207,7 @@ def gen_snl(
         raise ValueError(f"need at least one sensor, got n_sensors={n_sensors}")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
 
     for attempt in range(SNL_MAX_RETRIES):
@@ -410,6 +411,8 @@ def read_instance(path) -> SdpProblem:
         b = np.array([float(v) for v in fields])
     except ValueError:
         raise SdpaFormatError(f"line {lineno}: non-numeric right-hand side")
+    if not np.all(np.isfinite(b)):
+        raise SdpaFormatError(f"line {lineno}: b has a non-finite entry")
 
     # (matno, i, j) -> value, 0-based in the upper triangle; an entry given
     # twice keeps its last value
@@ -437,6 +440,9 @@ def read_instance(path) -> SdpProblem:
             raise SdpaFormatError(f"line {lineno}: block number must be 1, got {blkno}")
         if not (1 <= i <= n and 1 <= j <= n):
             raise SdpaFormatError(f"line {lineno}: index ({i},{j}) outside block of size {n}")
+        if not math.isfinite(value):
+            what = "C" if matno == 0 else "a constraint matrix"
+            raise SdpaFormatError(f"line {lineno}: {what} has a non-finite entry")
         if i > j:
             i, j = j, i
         entries[(matno, i - 1, j - 1)] = value

@@ -28,7 +28,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -133,6 +133,14 @@ class RunTrace:
         return "\n".join(lines) + "\n"
 
 
+def _require_positive(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a finite positive real; a bool,
+    though an int to Python, is not a number here."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0 < value < math.inf):
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     max_iters: int = 10000
@@ -146,8 +154,7 @@ class SolveConfig:
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        _require_positive("tol", self.tol)
 
 
 # --- residuals and stopping -------------------------------------------------
@@ -240,8 +247,9 @@ class FixedPolicy(StepsizePolicy):
     def __init__(self, alpha: float | None = None, beta: float | None = None):
         if (alpha is None) != (beta is None):
             raise ValueError("give both alpha and beta or neither")
-        if alpha is not None and (alpha <= 0 or beta <= 0):
-            raise ValueError("stepsizes must be positive")
+        if alpha is not None:
+            _require_positive("alpha", alpha)
+            _require_positive("beta", beta)
         self.alpha = alpha
         self.beta = beta
 
@@ -358,8 +366,7 @@ class LinesearchPolicy(StepsizePolicy):
     max_backtracks = 60
 
     def __init__(self, s: float = 1.0, mu: float = 0.7):
-        if s <= 0:
-            raise ValueError(f"s must be positive, got {s}")
+        _require_positive("s", s)
         if not 0 < mu < 1:
             raise ValueError(f"mu must lie in (0,1), got {mu}")
         self.s = s
@@ -420,8 +427,8 @@ class TuningFreePolicy(StepsizePolicy):
     _EPS_MARGIN = 1.0 + 1e-6
 
     def __init__(self, eps: float | None = None):
-        if eps is not None and not (isinstance(eps, numbers.Real) and eps > 0):
-            raise ValueError(f"eps must be a positive number, got {eps!r}")
+        if eps is not None:
+            _require_positive("eps", eps)
         self.eps = eps
 
     def initial_state(self, problem: SdpProblem) -> StepsizeState:
@@ -460,39 +467,31 @@ class TuningFreePolicy(StepsizePolicy):
 
 
 class SchedulePolicy(StepsizePolicy):
-    """Prescribed primal stepsize sequence, paired the way the splitting
-    derivation demands: iteration k's primal step uses alphas[k], and its dual
-    step uses theta = alphas[k+1]/alphas[k], beta = R/alphas[k+1].
-
-    ``product_factor`` != 1 deliberately breaks alpha*beta = R (negative
-    control for the equivalence check).
+    """Prescribed primal stepsizes ``alphas(k)``, paired the way the splitting
+    derivation demands: iteration k's primal step uses alphas(k), and its dual
+    step uses theta = alphas(k+1)/alphas(k), beta = R/alphas(k+1).
     """
 
     name = "schedule"
 
-    def __init__(self, alphas: Sequence[float] | Callable[[int], float],
-                 R: float | None = None, product_factor: float = 1.0):
+    def __init__(self, alphas: Callable[[int], float], R: float):
         self._alphas = alphas
         self.R = R
-        self.product_factor = product_factor
 
     def alpha_at(self, k: int) -> float:
-        a = self._alphas(k) if callable(self._alphas) else self._alphas[k]
+        a = self._alphas(k)
         if a <= 0:
             raise ValueError(f"schedule produced non-positive alpha at k={k}: {a}")
         return float(a)
 
     def initial_state(self, problem: SdpProblem) -> StepsizeState:
-        r = self.R
-        if r is None:
-            r = default_stepsize_product(lambda_max_AAt(problem.constraints))
         a0 = self.alpha_at(0)
-        return StepsizeState(alpha=a0, beta=r / a0, theta=1.0, R=r)
+        return StepsizeState(alpha=a0, beta=self.R / a0, theta=1.0, R=self.R)
 
     def adjust_mid(self, problem, it, x_new, ss):
         a_next = self.alpha_at(it.k + 1)
         ss.theta = a_next / ss.alpha
-        ss.beta = self.product_factor * ss.R / a_next
+        ss.beta = ss.R / a_next
         ss.alpha = a_next
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pdhgsdp.bench as bench_mod
 import pdhgsdp.solver as solver_mod
 from pdhgsdp.bench import (
     DEFAULT_BUDGETS,
@@ -129,10 +130,10 @@ class TestRunBench:
 
 
 class TestGridSearch:
-    def test_shape_and_range(self):
+    def test_shape_and_range(self, monkeypatch):
+        monkeypatch.setattr(bench_mod, "GRID_SEARCH_SPLIT", {"rg": 2})
         result = grid_search_eta(
             etas=(0.9, 0.95),
-            split={"rg": 2},
             sizes=TINY_SIZES,
             budgets={"rg": 2000},
         )

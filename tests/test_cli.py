@@ -116,6 +116,20 @@ class TestSolveCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("flags,param", [
+        (("--problem", "rg", "--policy", "fixed", "--tol", "nan"), "tol"),
+        (("--problem", "rg", "--policy", "ls", "--s", "nan"), "s"),
+        (("--problem", "rg", "--policy", "ls", "--s", "inf"), "s"),
+        (("--problem", "rg", "--policy", "tf", "--eps-tf", "inf"), "eps"),
+        (("--problem", "snl", "--policy", "fixed", "--radius", "nan"), "radius"),
+    ], ids=["tol-nan", "s-nan", "s-inf", "eps-tf-inf", "radius-nan"])
+    def test_non_finite_value_exit_one(self, tmp_path, capsys, flags, param):
+        # each once ran to the cap, failed mid-solve or resampled geometries
+        code = run_cli("solve", "--max-iters", "5", "--out", str(tmp_path / "t.csv"),
+                       *flags)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {param} must be")
+
 
 def strip_wall_ms(text):
     return [",".join(line.split(",")[:-1]) for line in text.splitlines()]
@@ -229,17 +243,26 @@ class TestBenchCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("entries", [
-        {"tol": "x"},
-        {"budgets": {"rg": ["a", "b"]}},
-        {"budgets": {"rg": [1.5, 2.5]}},
-        {"sizes": {"rg": {"bogus": 1}}},
-        {"policies": ["tf"], "policy_params": {"tf": {"eps": "x"}}},
-        {"sizes": {"rg": {"n": "x"}}},
-        {"sizes": {"rg": {"n": True}}},
+    @pytest.mark.parametrize("entries,param", [
+        ({"tol": "x"}, "tol"),
+        ({"budgets": {"rg": ["a", "b"]}}, "budgets"),
+        ({"budgets": {"rg": [1.5, 2.5]}}, "budgets"),
+        ({"sizes": {"rg": {"bogus": 1}}}, "sizes"),
+        ({"policies": ["tf"], "policy_params": {"tf": {"eps": "x"}}}, "eps"),
+        ({"sizes": {"rg": {"n": "x"}}}, "sizes"),
+        ({"sizes": {"rg": {"n": True}}}, "sizes"),
+        ({"policy_params": {"fixed": {"alpha": float("nan"), "beta": float("nan")}}},
+         "alpha"),
+        ({"tol": float("inf")}, "tol"),
+        ({"seeds": True}, "seeds"),
+        ({"tol": True}, "tol"),
+        ({"budgets": {"rg": [True, 2]}}, "budgets"),
+        ({"policies": ["tf"], "policy_params": {"tf": {"eps": True}}}, "eps"),
+        ({"policies": ["ls"], "policy_params": {"ls": {"s": 0.5}}}, "ls_s_grid"),
     ], ids=["tol-string", "budget-strings", "budget-floats", "unknown-size",
-            "tf-eps-string", "size-string", "size-bool"])
-    def test_malformed_value_exit_one(self, tmp_path, capsys, monkeypatch, entries):
+            "tf-eps-string", "size-string", "size-bool", "fixed-nan", "tol-inf",
+            "seeds-true", "tol-true", "budget-true", "tf-eps-true", "ls-s-param"])
+    def test_malformed_value_exit_one(self, tmp_path, capsys, monkeypatch, entries, param):
         def no_instances(*args):
             raise AssertionError("an instance was generated")
 
@@ -250,7 +273,8 @@ class TestBenchCommand:
         code = run_cli("bench", "--config", str(cfg_path),
                        "--out-dir", str(tmp_path / "out"))
         assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and param in err
 
     @pytest.mark.parametrize("budgets", [{"rg": [200]}, {"rg": [200], "mc": []}])
     def test_family_without_budgets_exit_one(self, tmp_path, capsys, budgets):

@@ -311,6 +311,18 @@ class TestSdpaRoundTrip:
         with pytest.raises(ValueError, match=f"{where} has a non-finite entry"):
             read_instance(path)
 
+    @pytest.mark.parametrize("body,message", [
+        ("1\n1\n2\n1.0\n1 1 1 1 nan\n", "line 5: a constraint matrix"),
+        ("1\n1\n2\n1.0\n0 1 1 2 -inf\n1 1 1 1 1.0\n", "line 5: C"),
+        ("1\n1\n2\ninf\n1 1 1 1 1.0\n", "line 4: b"),
+        ("1\n1\n2\n1.0\n1 1 1 1 1.0\n1 1 2 2 inf\n", "line 6: a constraint matrix"),
+    ], ids=["A-nan", "C-inf", "b-inf", "A-inf-line-6"])
+    def test_non_finite_value_names_its_line(self, tmp_path, body, message):
+        path = tmp_path / "bad.dat-s"
+        path.write_text(body)
+        with pytest.raises(SdpaFormatError, match=f"^{message} has a non-finite entry$"):
+            read_instance(path)
+
     def test_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.dat-s"
         path.write_text("1\n1\n2\n1.0\n0 1 1 1 oops\n")

@@ -4,7 +4,14 @@ import pytest
 import pdhgsdp.solver as solver_module
 from pdhgsdp.drs import check_equivalence, geometric_schedule
 from pdhgsdp.linalg import SymMat
-from pdhgsdp.operators import ConstraintMap, adjoint, apply_A, apply_At, forward
+from pdhgsdp.operators import (
+    ConstraintMap,
+    adjoint,
+    apply_A,
+    apply_At,
+    forward,
+    lambda_max_AAt,
+)
 from pdhgsdp.problems import SdpProblem, gen_maxcut, gen_random, gen_snl
 from pdhgsdp.projections import proj_psd
 from pdhgsdp.solver import (
@@ -22,6 +29,7 @@ from pdhgsdp.solver import (
     StepsizePolicy,
     StepsizeState,
     TuningFreePolicy,
+    default_stepsize_product,
     make_policy,
     residuals,
     solve,
@@ -106,7 +114,7 @@ class TestXUpdate:
         # a non-positive primal stepsize is rejected before any step
         prob = zero_map_problem()
         with pytest.raises(ValueError):
-            solve(prob, SchedulePolicy([0.0, 1.0], R=1.0), SolveConfig(max_iters=1))
+            solve(prob, SchedulePolicy(lambda k: 0.0, R=1.0), SolveConfig(max_iters=1))
 
 
 class TestYUpdate:
@@ -347,19 +355,15 @@ class TestGradientAlignmentPolicy:
 class TestZeroConstraintMap:
     """lambda_max(AA^T) = 0 gives no default stepsize; ls copes on its own."""
 
-    @pytest.mark.parametrize(
-        "policy",
-        [FixedPolicy(), BalancedResidualPolicy(), GradientAlignmentPolicy(),
-         TuningFreePolicy(), SchedulePolicy([1.0, 1.0])],
-        ids=lambda policy: policy.name,
-    )
-    def test_default_stepsizes_name_the_zero_map(self, policy):
+    @pytest.mark.parametrize("name", ["fixed", "bpdr", "alv", "tf", "schedule"])
+    def test_default_stepsizes_name_the_zero_map(self, name):
+        prob = zero_map_problem()
         with pytest.raises(ValueError, match="constraint map is zero"):
-            solve(zero_map_problem(), policy, SolveConfig(max_iters=1))
+            solve(prob, every_policy(name, prob), SolveConfig(max_iters=1))
 
     def test_given_stepsizes_still_run(self):
         for policy in (FixedPolicy(alpha=1.0, beta=1.0), TuningFreePolicy(eps=1.0),
-                       SchedulePolicy([1.0, 1.0, 1.0], R=1.0)):
+                       SchedulePolicy(lambda k: 1.0, R=1.0)):
             trace = solve(zero_map_problem(), policy, SolveConfig(max_iters=2))
             assert trace.status == "converged"  # X = 0 is optimal
 
@@ -631,7 +635,8 @@ class TestSolveErrors:
         # iteration 2 hands an infinite primal stepsize to iteration 3, whose
         # projection then fails on a non-finite matrix
         prob = gen_random(1, n=6, m=4)
-        policy = SchedulePolicy([1.0, 1.0, 1.0, np.inf, 1.0])
+        policy = SchedulePolicy(lambda k: np.inf if k == 3 else 1.0,
+                                R=default_stepsize_product(lambda_max_AAt(prob.constraints)))
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(SolveError) as excinfo:
                 solve(prob, policy, SolveConfig(max_iters=4, tol=1e-300))
@@ -679,9 +684,12 @@ class TestSolveErrors:
         assert trace.flags == {"degenerate_cosine": 3}  # no policy-internal "eps"
 
 
-def every_policy(name):
+def every_policy(name, prob):
+    """The named policy; the schedule takes the default stepsize product of
+    ``prob``."""
     if name == "schedule":
-        return SchedulePolicy(lambda k: 1.0 + 2.0 ** (-k))
+        return SchedulePolicy(lambda k: 1.0 + 2.0 ** (-k),
+                              R=default_stepsize_product(lambda_max_AAt(prob.constraints)))
     return make_policy(name)
 
 
@@ -697,7 +705,8 @@ class TestOperatorApplications:
 
     @pytest.mark.parametrize("name", ENGINE_POLICIES)
     def test_map_applications_per_iteration(self, name, monkeypatch):
-        policy = every_policy(name)
+        prob = gen_random(1, n=6, m=4)
+        policy = every_policy(name, prob)
         open_hooks: list[str] = []
         total = [0]
         in_hook: dict[str, int] = {}
@@ -728,8 +737,7 @@ class TestOperatorApplications:
         for hook in ("adjust_mid", "dual_update", "adjust_post"):
             monkeypatch.setattr(policy, hook, tracking(hook, getattr(policy, hook)))
 
-        trace = solve(gen_random(1, n=6, m=4), policy,
-                      SolveConfig(max_iters=self.ITERS, tol=1e-300))
+        trace = solve(prob, policy, SolveConfig(max_iters=self.ITERS, tol=1e-300))
         assert trace.iterations == self.ITERS
         per_iter = 3 if name == "ls" else 2
         assert total[0] == per_iter * self.ITERS + 2
@@ -753,7 +761,8 @@ def test_one_projection_per_iteration(name, monkeypatch):
 
     monkeypatch.setattr(solver_module, "proj_psd_dense", counting)
     iters = 25
-    trace = solve(gen_random(1, n=6, m=4), every_policy(name),
+    prob = gen_random(1, n=6, m=4)
+    trace = solve(prob, every_policy(name, prob),
                   SolveConfig(max_iters=iters, tol=1e-300))
     assert trace.iterations == iters
     assert calls[0] == iters
@@ -764,7 +773,7 @@ def test_one_projection_per_iteration(name, monkeypatch):
 @pytest.mark.parametrize("name", ENGINE_POLICIES)
 def test_trace_residuals_match_public_formula(name, make_problem):
     prob = make_problem()
-    policy = every_policy(name)
+    policy = every_policy(name, prob)
     states = []  # the engine's stepsize state, which the hooks update in place
     alphas = []  # primal stepsize of each iteration
     initial_state = policy.initial_state
@@ -845,7 +854,7 @@ def test_iterates_match_old_dense_formula(name, family, monkeypatch):
     forward_old, adjoint_old = old_dense_formula(prob)
     monkeypatch.setattr(solver_module, "forward", lockstep(forward, forward_old))
     monkeypatch.setattr(solver_module, "adjoint", lockstep(adjoint, adjoint_old))
-    trace = solve(prob, every_policy(name), SolveConfig(max_iters=100, tol=1e-300))
+    trace = solve(prob, every_policy(name, prob), SolveConfig(max_iters=100, tol=1e-300))
     assert trace.iterations == 100
     assert calls[0] >= 2 * 100 + 2
     assert mismatches == []
