@@ -28,7 +28,8 @@ import numpy as np
 from .operators import LiftedOperator, adjoint, build_T, forward, lambda_max_AAt
 from .problems import SdpProblem
 from .projections import proj_psd_dense
-from .solver import SchedulePolicy, SolveConfig, default_stepsize_product, solve
+from .solver import (SchedulePolicy, SolveConfig, _require_positive,
+                     default_stepsize_product, solve)
 
 
 @dataclass
@@ -122,8 +123,7 @@ def check_equivalence(
     """
     if iters < 1:
         raise ValueError(f"need iters >= 1, got {iters}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _require_positive("tol", tol)
 
     cmap = problem.constraints
     r = default_stepsize_product(lambda_max_AAt(cmap))

@@ -98,6 +98,13 @@ class ConstraintMap:
         self.m, self.n, self.dense, self.coo = m, n, dense, coo
         self._lambda_max: float | None = None
 
+    def rms_row_norm(self) -> float:
+        """sqrt(tr(AA^T)/m), the root mean square of the Frobenius norms of
+        the A_i. Both triangles are stored, so the sum of squares of the
+        stored entries is tr(AA^T)."""
+        stored = self.dense if self.coo is None else self.coo[2]
+        return float(np.sqrt(np.vdot(stored, stored) / self.m))
+
     def upper_triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(con, i, j, vals) of every nonzero with i <= j, sorted by
         constraint and then row-major."""

@@ -152,8 +152,9 @@ class SolveConfig:
     callback: Callable[[int, np.ndarray, np.ndarray], None] | None = None
 
     def __post_init__(self):
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        if (isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0):
+            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
         _require_positive("tol", self.tol)
 
 
@@ -269,7 +270,17 @@ class FixedPolicy(StepsizePolicy):
 class _BalancingBase(StepsizePolicy):
     """Shared three-branch update: grow alpha by 1/(1-eps_k), hold, or shrink
     by (1-eps_k); beta follows so alpha*beta stays R; theta reports the factor;
-    eps decays geometrically each iteration."""
+    eps decays geometrically each iteration.
+
+    The start is fixed's product R split in the units of the constraint rows:
+    alpha_0 = sqrt(R) rho and beta_0 = sqrt(R)/rho, with rho the RMS Frobenius
+    norm of the A_i. Scaling every A_i and b by s scales sqrt(R) by 1/s and
+    rho by s, so alpha_0 is free of the rows' units, as the primal step
+    X - alpha (A^T(y) + C) is; fixed's alpha_0 = sqrt(R) would shrink with
+    the rows and leave the decaying adjustments to climb back. alv's iterates
+    are then unit-free too; bpdr's are not, since its branch compares p with
+    d, and d carries the units of the rows.
+    """
 
     def __init__(self, eps0: float = 0.5, eta: float = 0.95):
         if not 0 < eps0 < 1:
@@ -281,6 +292,8 @@ class _BalancingBase(StepsizePolicy):
 
     def initial_state(self, problem: SdpProblem) -> StepsizeState:
         ss = FixedPolicy().initial_state(problem)
+        rho = problem.constraints.rms_row_norm()
+        ss.alpha, ss.beta = ss.alpha * rho, ss.beta / rho
         ss.extra["eps"] = self.eps0
         return ss
 

@@ -187,6 +187,14 @@ class TestVerifyCommand:
         assert json.loads(out.read_text())["pass"] is False
         capsys.readouterr()
 
+    def test_nan_tol_exit_one(self, tmp_path, capsys):
+        # once exited 3, reporting the malformed flag as a failed certificate
+        out = tmp_path / "verify.json"
+        code = run_cli("verify", "--tol", "nan", "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: tol must be")
+        assert not out.exists()
+
 
 class TestBenchCommand:
     def test_tiny_sweep(self, tmp_path, capsys):

@@ -227,3 +227,10 @@ class TestCheckEquivalence:
             check_equivalence(prob, constant_schedule(), iters=0)
         with pytest.raises(ValueError):
             check_equivalence(prob, lambda k: -1.0, iters=5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0], ids=["nan", "inf", "zero"])
+    def test_tol_must_be_finite_positive(self, bad):
+        # a NaN tol once passed the check and made every comparison fail
+        prob = gen_random(4, n=4, m=2)
+        with pytest.raises(ValueError, match="tol"):
+            check_equivalence(prob, constant_schedule(), iters=5, tol=bad)

@@ -266,6 +266,16 @@ class TestStoredForms:
         assert lambda_max_AAt(cmap) == pytest.approx(lam, rel=1e-12)
 
     @pytest.mark.parametrize("form", FORMS)
+    def test_rms_row_norm_matches_gram_trace(self, form, monkeypatch):
+        rng = np.random.default_rng(13)
+        m, n = 6, 5
+        entries = random_triples(rng, m, n, 25)
+        cmap = forced(form, monkeypatch, lambda: ConstraintMap.from_triples(m, n, *entries))
+        flat = oracle_stack(m, n, *entries).reshape(m, -1)
+        assert cmap.rms_row_norm() == pytest.approx(
+            np.sqrt(np.trace(flat @ flat.T) / m), rel=1e-14)
+
+    @pytest.mark.parametrize("form", FORMS)
     def test_adjoint_exactly_symmetric(self, form, monkeypatch):
         rng = np.random.default_rng(11)
         for m, n in [(3, 4), (6, 7), (20, 12)]:

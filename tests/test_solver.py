@@ -352,6 +352,60 @@ class TestGradientAlignmentPolicy:
         assert ss.counts == {"degenerate_cosine": 1}
 
 
+def rows_scaled(prob, k):
+    """The problem with every A_i and b multiplied by 2**k, which is exact."""
+    con, i, j, vals = prob.constraints.upper_triples()
+    cmap = ConstraintMap.from_triples(prob.m, prob.n, con, i, j, vals * 2.0 ** k)
+    return SdpProblem(prob.C, cmap, prob.b * 2.0 ** k, dict(prob.meta))
+
+
+class TestUnitFreeStart:
+    """bpdr and alv start at alpha_0 = sqrt(R) rho, beta_0 = sqrt(R)/rho, with
+    rho the RMS Frobenius norm of the A_i: alpha_0 does not change when the
+    rows are rescaled."""
+
+    @pytest.mark.parametrize("k", [-3, 3])
+    @pytest.mark.parametrize("name", ["alv", "tf"])
+    def test_iterates_invariant_to_power_of_two_row_scaling(self, name, k):
+        prob = small_rg(40, n=6, m=4)
+        scaled = rows_scaled(prob, k)
+        cfg = SolveConfig(max_iters=300, tol=1e-300)
+        base = solve(prob, make_policy(name), cfg)
+        other = solve(scaled, make_policy(name), cfg)
+        assert other.iterations == base.iterations == 300
+        assert np.array_equal(other.X_final.dense, base.X_final.dense)
+        assert [r.alpha for r in other.rows] == [r.alpha for r in base.rows]
+        assert [r.beta for r in other.rows] == [r.beta * 4.0 ** -k for r in base.rows]
+
+    @pytest.mark.parametrize("k", [-3, 3])
+    def test_bpdr_start_invariant_to_row_scaling(self, k):
+        prob = small_rg(41, n=6, m=4)
+        base = BalancedResidualPolicy().initial_state(prob)
+        other = BalancedResidualPolicy().initial_state(rows_scaled(prob, k))
+        assert other.alpha == base.alpha
+        assert other.beta == base.beta * 4.0 ** -k
+        assert other.R == base.R * 4.0 ** -k
+
+    @pytest.mark.parametrize("name", ["bpdr", "alv"])
+    def test_start_splits_fixed_product_by_row_norm(self, name):
+        prob = small_rg(42, n=6, m=4)
+        fixed = FixedPolicy().initial_state(prob)
+        ss = make_policy(name).initial_state(prob)
+        rho = prob.constraints.rms_row_norm()
+        assert rho != 1.0
+        assert ss.alpha == fixed.alpha * rho and ss.beta == fixed.beta / rho
+        assert ss.R == fixed.R
+        assert ss.alpha * ss.beta == pytest.approx(ss.R, rel=1e-15)
+
+    @pytest.mark.parametrize("name", ["bpdr", "alv"])
+    def test_unit_norm_rows_start_at_balanced_pair(self, name):
+        # max-cut's A_i = e_i e_i^T have unit norm, so rho = 1 exactly
+        prob = gen_maxcut(3, n=8, m_edges=10)
+        ss = make_policy(name).initial_state(prob)
+        root = np.sqrt(default_stepsize_product(lambda_max_AAt(prob.constraints)))
+        assert ss.alpha == ss.beta == root
+
+
 class TestZeroConstraintMap:
     """lambda_max(AA^T) = 0 gives no default stepsize; ls copes on its own."""
 
@@ -618,6 +672,17 @@ class TestSolveEngine:
             SolveConfig(max_iters=-1)
         with pytest.raises(ValueError):
             SolveConfig(tol=0.0)
+
+    @pytest.mark.parametrize("bad", [2.5, True], ids=["float", "bool"])
+    def test_max_iters_must_be_an_integer(self, bad):
+        # 2.5 once escaped as a TypeError from range(); True ran one iteration
+        with pytest.raises(ValueError, match="max_iters"):
+            SolveConfig(max_iters=bad)
+
+    def test_numpy_integer_max_iters_accepted(self):
+        trace = solve(small_rg(39), FixedPolicy(),
+                      SolveConfig(max_iters=np.int64(3), tol=1e-300))
+        assert trace.iterations == 3
 
 
 class TestSolveErrors:
