@@ -20,6 +20,7 @@ for production solving.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -121,8 +122,8 @@ def check_equivalence(
     correspondence defect on (Z, Z_hat); the check passes iff both stay below
     ``tol``.
     """
-    if iters < 1:
-        raise ValueError(f"need iters >= 1, got {iters}")
+    if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) or iters < 1:
+        raise ValueError(f"iters must be an integer >= 1, got {iters!r}")
     _require_positive("tol", tol)
 
     cmap = problem.constraints

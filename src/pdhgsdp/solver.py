@@ -19,6 +19,13 @@ gradient-alignment rules, whose new stepsizes take effect next iteration).
 Hooks read the cached products from :class:`IterateState` and never apply an
 operator themselves; the linesearch is the one exception, with two A^T
 applications per iteration that serve all of its backtracking trials.
+
+The projection splits by the aggregate sparsity pattern: the off-diagonal
+nonzeros of C, of every A_i and of X_0 join their indices into blocks, found
+once per solve. Every iterate stays zero off the blocks, so projecting each
+block on its own is the exact projection: one ``proj_psd_dense`` call per
+block of two or more indices, and max(M_ii, 0) for the isolated ones. A
+problem that is one block is projected whole.
 """
 
 from __future__ import annotations
@@ -193,8 +200,7 @@ def residuals(
 
 def stop_check(report: ResidualReport, tol: float = DEFAULT_TOL) -> bool:
     """True iff ||p||^2 + ||d||^2 < tol (strict)."""
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _require_positive("tol", tol)
     return report.combined < tol
 
 
@@ -429,7 +435,12 @@ class TuningFreePolicy(StepsizePolicy):
     alpha_k/alpha_{k-1} = 1 - w_k + w_k t_k, which keeps the
     iteration inside the convergence theory (theta equals the stepsize ratio
     and tends to 1 as w_k vanishes). A vanishing clamp denominator maps to
-    theta_max and bumps the ``tf_zero_denominator`` counter.
+    theta_max and bumps the ``tf_zero_denominator`` counter; if ||X^k|| is
+    zero too, the ratio is 0/0 and counts as 1, its value from the zero start
+    wherever it is defined. That is the first step from the zero start when
+    Proj_PSD(-alpha C) = 0 (C = 0, or a PSD C as on max-cut); read as
+    theta_max, it would turn on whether roundoff leaves an eigenvalue of
+    order +1e-17 in that projection.
     """
 
     name = "tf"
@@ -467,12 +478,12 @@ class TuningFreePolicy(StepsizePolicy):
         omega = 2.0 ** (-k_one_based / 100.0)
         ref = x_new - it.X_cur + ss.alpha * it.Aty
         den = float(np.linalg.norm(ref))
+        num = float(np.linalg.norm(x_new))
         if den == 0.0:
-            clamped = self.theta_max
+            clamped = self.theta_max if num > 0.0 else 1.0
             ss.counts["tf_zero_denominator"] = ss.counts.get("tf_zero_denominator", 0) + 1
         else:
-            ratio = float(np.linalg.norm(x_new)) / den
-            clamped = min(max(ratio, self.theta_min), self.theta_max)
+            clamped = min(max(num / den, self.theta_min), self.theta_max)
         factor = 1.0 - omega + omega * clamped
         ss.alpha = factor * ss.alpha
         ss.beta = 1.0 / (eps * ss.alpha)
@@ -526,6 +537,59 @@ def _dense_initial(problem: SdpProblem, config: SolveConfig) -> tuple[np.ndarray
     return x, y
 
 
+def _aggregate_blocks(problem: SdpProblem, x0: np.ndarray) -> list[np.ndarray]:
+    """Index sets, each ascending, of the connected components of the graph
+    whose edges are the off-diagonal nonzeros of C, of every A_i and of X_0.
+    A diagonal entry joins nothing, so a diagonal A_i leaves its indices
+    apart."""
+    n, cmap = problem.n, problem.constraints
+    pattern = (problem.C.dense != 0) | (x0 != 0)
+    if cmap.coo is None:
+        pattern |= np.any(cmap.dense, axis=0).reshape(n, n)
+    else:
+        pattern.ravel()[cmap.coo[1]] = True
+    np.fill_diagonal(pattern, False)
+    i, j = np.nonzero(pattern)  # the pattern is symmetric: each edge both ways
+    # label propagation with pointer jumping: every label only falls, and at
+    # the fixed point each component carries its smallest index
+    labels = np.arange(n)
+    while True:
+        prev = labels.copy()
+        np.minimum.at(labels, i, labels[j])
+        labels = labels[labels]
+        if np.array_equal(labels, prev):
+            break
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order])) + 1
+    return np.split(order, starts)
+
+
+def _block_projection(blocks: list[np.ndarray], n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The PSD projection of n-by-n matrices that are zero off ``blocks``,
+    which partition range(n): each block of two or more indices through
+    ``proj_psd_dense``, and the diagonal entries of the isolated indices
+    clipped at zero. Each call looks ``proj_psd_dense`` up in this module, so
+    a wrapper set there sees every block projection."""
+    if len(blocks) == 1:
+        return lambda mat: proj_psd_dense(mat)
+    # flat indices into an n-by-n array gather and scatter faster than np.ix_
+    squares = [np.add.outer(b * n, b) for b in blocks if b.size > 1]
+    diagonal = np.array([b[0] * (n + 1) for b in blocks if b.size == 1], dtype=np.intp)
+
+    def project(mat: np.ndarray) -> np.ndarray:
+        # no block reads the entries off the blocks, so check them here
+        if not np.isfinite(mat).all():
+            raise np.linalg.LinAlgError("matrix has non-finite entries")
+        out = np.zeros((n, n))
+        flat = out.ravel()  # a view, since out is C-contiguous
+        for square in squares:
+            flat[square] = proj_psd_dense(mat.take(square))
+        flat[diagonal] = np.maximum(mat.take(diagonal), 0.0)
+        return out
+
+    return project
+
+
 def solve(problem: SdpProblem, policy: StepsizePolicy,
           config: SolveConfig = SolveConfig()) -> RunTrace:
     """Run the engine until the stopping rule fires or the budget runs out.
@@ -539,6 +603,7 @@ def solve(problem: SdpProblem, policy: StepsizePolicy,
     c_dense = problem.C.dense
     x_cur, y = _dense_initial(problem, config)
     ax, aty = forward(cmap, x_cur), adjoint(cmap, y)
+    project = _block_projection(_aggregate_blocks(problem, x_cur), problem.n)
 
     ss = policy.initial_state(problem)
     rows: list[TraceRow] = []
@@ -548,7 +613,7 @@ def solve(problem: SdpProblem, policy: StepsizePolicy,
         tic = time.perf_counter()
         try:
             alpha_x = ss.alpha
-            x_new = proj_psd_dense(x_cur - alpha_x * (aty + c_dense))
+            x_new = project(x_cur - alpha_x * (aty + c_dense))
             ax_new = forward(cmap, x_new)
             it = IterateState(X_cur=x_cur, y=y, AX=ax, Aty=aty, k=k)
             dual = policy.dual_update(problem, it, x_new, ax_new, ss)

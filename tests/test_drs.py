@@ -228,6 +228,19 @@ class TestCheckEquivalence:
         with pytest.raises(ValueError):
             check_equivalence(prob, lambda k: -1.0, iters=5)
 
+    @pytest.mark.parametrize("bad", [2.5, True, 0], ids=["float", "bool", "zero"])
+    def test_iters_must_be_a_positive_integer(self, bad):
+        # 2.5 once passed the check and failed inside SolveConfig, naming
+        # max_iters, which the caller never passed
+        prob = gen_random(4, n=4, m=2)
+        with pytest.raises(ValueError, match="^iters must be an integer"):
+            check_equivalence(prob, constant_schedule(), iters=bad)
+
+    def test_numpy_integer_iters_accepted(self):
+        report = check_equivalence(gen_random(4, n=4, m=2), constant_schedule(),
+                                   iters=np.int64(2))
+        assert report.iters == 2 and report.passed
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0], ids=["nan", "inf", "zero"])
     def test_tol_must_be_finite_positive(self, bad):
         # a NaN tol once passed the check and made every comparison fail

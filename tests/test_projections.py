@@ -167,6 +167,45 @@ class TestProjPsdDense:
             proj_psd_dense(np.ones((4, 1)))
 
 
+def interleaved_blocks(rng, sizes):
+    """A random partition of range(sum(sizes)) into ascending index sets of
+    the given sizes, interleaved rather than contiguous."""
+    perm = rng.permutation(sum(sizes))
+    cuts = np.cumsum(sizes)[:-1]
+    return [np.sort(part) for part in np.split(perm, cuts)]
+
+
+BLOCK_SIZES = {
+    "mixed": [5, 3, 2, 1, 1, 1],
+    "pairs": [2, 2, 2, 2],
+    "isolated-only": [1] * 6,
+    "one-block-and-isolated": [7, 1, 1],
+    "whole": [9],
+}
+
+
+class TestBlockProjection:
+    """The engine's split projection of a matrix that is zero off its blocks
+    equals the projection of the whole matrix."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", sorted(BLOCK_SIZES))
+    def test_matches_whole_projection(self, case, seed, solver_path):
+        rng = np.random.default_rng(seed)
+        blocks = interleaved_blocks(rng, BLOCK_SIZES[case])
+        n = sum(b.size for b in blocks)
+        mat = np.zeros((n, n))
+        on_blocks = np.zeros((n, n), dtype=bool)
+        for b in blocks:
+            ix = np.ix_(b, b)
+            mat[ix] = random_sym(rng, b.size).to_dense()
+            on_blocks[ix] = True
+        out = solver_module._block_projection(blocks, n)(mat)
+        assert np.linalg.norm(out - proj_psd_dense(mat)) <= 1e-12 * np.linalg.norm(mat)
+        assert np.all(out[~on_blocks] == 0.0)
+        np.testing.assert_array_equal(out, out.T)
+
+
 def test_threads_do_not_share_a_workspace():
     """The eigensolver runs without the interpreter lock, so concurrent
     projections of the same size must each write to their own buffers."""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pdhgsdp.operators as operators_module
 import pdhgsdp.solver as solver_module
 from pdhgsdp.drs import check_equivalence, geometric_schedule
 from pdhgsdp.linalg import SymMat
@@ -12,7 +13,7 @@ from pdhgsdp.operators import (
     forward,
     lambda_max_AAt,
 )
-from pdhgsdp.problems import SdpProblem, gen_maxcut, gen_random, gen_snl
+from pdhgsdp.problems import SdpProblem, gen_maxcut, gen_random, gen_snl, graph_laplacian
 from pdhgsdp.projections import proj_psd
 from pdhgsdp.solver import (
     POLICY_NAMES,
@@ -206,6 +207,12 @@ class TestStopCheck:
     def test_tol_validation(self):
         with pytest.raises(ValueError):
             stop_check(ResidualReport(0.0, 0.0, 0.0), 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_tol_rejected(self, bad):
+        # a NaN tol once passed the check, and the rule then never fired
+        with pytest.raises(ValueError, match="tol"):
+            stop_check(ResidualReport(0.0, 0.0, 0.0), bad)
 
 
 class TestFixedPolicy:
@@ -536,6 +543,26 @@ class TestTuningFreePolicy:
         assert ss.alpha == factor * TuningFreePolicy.alpha_init
         assert ss.counts == {"tf_zero_denominator": 1}
 
+    def test_zero_over_zero_keeps_alpha(self):
+        # X^{k+1} = X^k = 0 and y = 0: the ratio is 0/0, which counts as 1
+        prob = small_rg(24)
+        pol = TuningFreePolicy()
+        ss = pol.initial_state(prob)
+        it = iterate_state(prob, np.zeros((5, 5)), np.zeros(3), k=99)
+        pol.adjust_mid(prob, it, np.zeros((5, 5)), ss)
+        assert ss.alpha == TuningFreePolicy.alpha_init and ss.theta == 1.0
+        assert ss.counts == {"tf_zero_denominator": 1}
+
+    @pytest.mark.parametrize("make_problem", [
+        lambda: gen_maxcut(0, n=30, m_edges=30), lambda: small_snl(),
+    ], ids=["split-maxcut", "snl"])
+    def test_first_step_holds_alpha_when_projection_is_zero(self, make_problem):
+        # both have Proj_PSD(-C) = 0 exactly (a PSD Laplacian split into
+        # blocks; C = 0), so X^1 = 0 from the zero start
+        trace = solve(make_problem(), TuningFreePolicy(), SolveConfig(max_iters=1))
+        assert trace.rows[0].alpha == TuningFreePolicy.alpha_init
+        assert trace.flags == {"tf_zero_denominator": 1}
+
     def test_convex_blend_arithmetic(self):
         # at one-based iteration 100, omega = 1/2; clamp value 3 doubles alpha
         prob = small_rg(25)
@@ -725,6 +752,31 @@ class TestSolveErrors:
         assert [row.k for row in trace.rows] == [0, 1, 2]
         assert all(np.isfinite(row.combined) for row in trace.rows)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("where", ["in-block", "isolated-diagonal", "off-blocks"])
+    def test_non_finite_entry_under_block_split_keeps_completed_rows(self, where, bad):
+        # the callback writes into iteration 2's output, so the split
+        # projection of iteration 3 sees a non-finite matrix; off the blocks
+        # no block projection would ever read the entry
+        prob = split_maxcut()
+        blocks = solver_module._aggregate_blocks(prob, np.zeros((prob.n, prob.n)))
+        big = max(blocks, key=len)
+        lone = next(b[0] for b in blocks if b.size == 1)
+        i, j = {"in-block": (big[0], big[1]), "isolated-diagonal": (lone, lone),
+                "off-blocks": (big[0], lone)}[where]
+
+        def poison(k, x, _y):
+            if k == 2:
+                x[i, j] = x[j, i] = bad
+
+        with pytest.raises(SolveError) as excinfo:
+            solve(prob, FixedPolicy(), SolveConfig(max_iters=5, tol=1e-300, callback=poison))
+        assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
+        trace = excinfo.value.trace
+        assert trace.status == "error"
+        assert [row.k for row in trace.rows] == [0, 1, 2]
+        assert all(np.isfinite(row.combined) for row in trace.rows)
+
     @pytest.mark.parametrize("fail", [False, True])
     def test_flags_hold_only_event_counters(self, fail):
         class SeededBalancing(BalancedResidualPolicy):
@@ -747,6 +799,145 @@ class TestSolveErrors:
         else:
             trace = solve(small_rg(41), SeededBalancing(), cfg)
         assert trace.flags == {"degenerate_cosine": 3}  # no policy-internal "eps"
+
+
+def split_maxcut():
+    """A max-cut whose graph has components of 38, 3, 3 and 2 vertices and
+    14 isolated ones."""
+    return gen_maxcut(1, n=60, m_edges=50)
+
+
+def block_lists(prob, x0=None):
+    x0 = np.zeros((prob.n, prob.n)) if x0 is None else x0
+    return [b.tolist() for b in solver_module._aggregate_blocks(prob, x0)]
+
+
+def diagonal_problem(n, c=None, extra=(), form="coo"):
+    """C (default identity) with the constraints A_i = e_i e_i^T plus one
+    constraint holding the (i, j, value) entries of ``extra``; the map is
+    stored in ``form``."""
+    con = list(range(n)) + [n] * len(extra)
+    i = list(range(n)) + [e[0] for e in extra]
+    j = list(range(n)) + [e[1] for e in extra]
+    vals = [1.0] * n + [e[2] for e in extra]
+    m = n + (1 if extra else 0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operators_module, "_DENSE_ABOVE", -1.0 if form == "dense" else 2.0)
+        cmap = ConstraintMap.from_triples(m, n, con, i, j, vals)
+    assert (cmap.coo is None) == (form == "dense")
+    c = np.eye(n) if c is None else c
+    return SdpProblem(SymMat(c), cmap, np.ones(m), {"generator": "custom"})
+
+
+def components_by_search(n, edges):
+    """Connected components by breadth-first search, each ascending, ordered
+    by their smallest index."""
+    neighbours = [[] for _ in range(n)]
+    for i, j in edges:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    seen, out = [False] * n, []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start], frontier, comp = True, [start], []
+        while frontier:
+            v = frontier.pop()
+            comp.append(v)
+            for w in neighbours[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    frontier.append(w)
+        out.append(sorted(comp))
+    return out
+
+
+class TestAggregateBlocks:
+    """The projection's blocks are the connected components of the
+    off-diagonal nonzeros of C, of every A_i and of X_0."""
+
+    @pytest.mark.parametrize("form", ["coo", "dense"])
+    @pytest.mark.parametrize("source", ["C", "A", "X0"])
+    def test_each_source_joins_its_pair(self, source, form):
+        n = 6
+        c, x0 = np.eye(n), np.zeros((n, n))
+        if source == "C":
+            c[1, 4] = c[4, 1] = -0.5
+        elif source == "X0":
+            x0[1, 4] = x0[4, 1] = 0.25
+        extra = [(1, 4, 2.0)] if source == "A" else []
+        prob = diagonal_problem(n, c, extra, form)
+        assert block_lists(prob) == ([[0], [1, 4], [2], [3], [5]]
+                                     if source != "X0" else [[0], [1], [2], [3], [4], [5]])
+        assert block_lists(prob, x0) == [[0], [1, 4], [2], [3], [5]]
+
+    @pytest.mark.parametrize("form", ["coo", "dense"])
+    def test_diagonal_constraint_keeps_indices_apart(self, form):
+        # A^T(y) of a diagonal A_i stays zero off the diagonal, whatever y is
+        prob = diagonal_problem(5, extra=[(0, 0, 1.0), (3, 3, -2.0)], form=form)
+        assert block_lists(prob) == [[0], [1], [2], [3], [4]]
+
+    def test_sources_chain_into_one_block(self):
+        n = 6
+        c, x0 = np.eye(n), np.zeros((n, n))
+        c[0, 5] = c[5, 0] = 1.0
+        x0[2, 3] = x0[3, 2] = 1.0
+        prob = diagonal_problem(n, c, [(5, 2, 1.0)])
+        assert block_lists(prob, x0) == [[0, 2, 3, 5], [1], [4]]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_breadth_first_search(self, seed):
+        # long relabelled paths need many rounds of label propagation
+        rng = np.random.default_rng(seed)
+        n = 60
+        perm = rng.permutation(n)
+        edges = [(perm[k], perm[k + 1]) for k in range(20)]  # one path of 21
+        edges += [tuple(rng.choice(n, 2, replace=False)) for _ in range(12 + 4 * seed)]
+        prob = diagonal_problem(n, graph_laplacian(n, edges) + np.eye(n))
+        assert block_lists(prob) == components_by_search(n, edges)
+
+    @pytest.mark.parametrize("family", ["rg", "snl", "cycle"])
+    def test_single_block_families(self, family):
+        if family == "rg":
+            probs = [gen_random(seed, n=50, m=50) for seed in range(1, 6)]
+        elif family == "snl":
+            probs = [gen_snl(seed)[0] for seed in (1, 2)]
+        else:
+            n = 8
+            edges = [(i, (i + 1) % n) for i in range(n)]
+            probs = [diagonal_problem(n, graph_laplacian(n, edges))]
+        for prob in probs:
+            assert block_lists(prob) == [list(range(prob.n))]
+
+    @pytest.mark.parametrize("seed, sizes, isolated", [
+        (1, [118, 3, 3, 3, 2], 21), (2, [125, 2, 2, 2, 2], 17),
+    ])
+    def test_benchmark_maxcut_components(self, seed, sizes, isolated):
+        blocks = block_lists(gen_maxcut(seed, n=150, m_edges=150))
+        lengths = sorted(map(len, blocks), reverse=True)
+        assert lengths == sizes + [1] * isolated
+        assert sorted(sum(blocks, [])) == list(range(150))
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_block_split_matches_whole_projection(name, monkeypatch):
+    """Splitting the projection changes the iterates only by roundoff: the
+    same iterations to tolerance, the same final iterate to 1e-12.
+
+    tf is the exception, at 1e-11: its alpha climbs to ~360 here, so its
+    projection inputs reach ~180 ||X|| and each projection's roundoff grows
+    alike. Reordering the rows of the whole projection's input moves its
+    final iterate by 3.0e-12; the split moves it by 2.3e-12."""
+    prob = split_maxcut()
+    split = solve(prob, make_policy(name))
+    monkeypatch.setattr(solver_module, "_aggregate_blocks",
+                        lambda problem, x0: [np.arange(problem.n)])
+    whole = solve(prob, make_policy(name))
+    assert split.status == whole.status == "converged"
+    assert split.iterations == whole.iterations
+    x_split, x_whole = split.X_final.dense, whole.X_final.dense
+    rtol = 1e-11 if name == "tf" else 1e-12
+    assert np.linalg.norm(x_split - x_whole) <= rtol * np.linalg.norm(x_whole)
 
 
 def every_policy(name, prob):
@@ -812,8 +1003,8 @@ class TestOperatorApplications:
 @pytest.mark.parametrize("name", ENGINE_POLICIES)
 def test_one_projection_per_iteration(name, monkeypatch):
     """The engine reaches the projections module only through its
-    module-level ``proj_psd_dense``, once per iteration, so wrapping that
-    name sees every projection."""
+    module-level ``proj_psd_dense``, once per iteration and block of two or
+    more indices, so wrapping that name sees every projection."""
     projections = [attr for attr, obj in vars(solver_module).items()
                    if getattr(obj, "__module__", None) == "pdhgsdp.projections"]
     assert projections == ["proj_psd_dense"]
@@ -831,6 +1022,14 @@ def test_one_projection_per_iteration(name, monkeypatch):
                   SolveConfig(max_iters=iters, tol=1e-300))
     assert trace.iterations == iters
     assert calls[0] == iters
+
+    # max-cut: blocks of 38, 3, 3 and 2 vertices, and 14 isolated ones
+    calls[0] = 0
+    prob = split_maxcut()
+    trace = solve(prob, every_policy(name, prob),
+                  SolveConfig(max_iters=iters, tol=1e-300))
+    assert trace.iterations == iters
+    assert calls[0] == 4 * iters
 
 
 @pytest.mark.parametrize("make_problem", [lambda: small_rg(42, n=6, m=4), small_snl],
