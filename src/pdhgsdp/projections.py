@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ctypes
 import threading
+from collections import OrderedDict
 
 import numpy as np
 
@@ -54,6 +55,10 @@ class _Workspace:
     """dsyevx's buffers and argument list for one dimension n. The argument
     list holds raw addresses, so the buffers must live as long as it does."""
 
+    # dimensions kept per thread, the most recently used; the benchmark's
+    # block-split max-cut solves project at most three distinct sizes each
+    PER_THREAD = 8
+
     def __init__(self, n: int):
         self.a = np.empty((n, n), order="F")
         self.w = np.empty(n)
@@ -78,18 +83,22 @@ class _Workspace:
 
 
 # Workspaces per thread and dimension: dsyevx writes into them without the
-# interpreter lock, so two threads must not share one; allocated once, they
-# spare every call the page faults of fresh n-by-n buffers.
+# interpreter lock, so two threads must not share one; kept between calls,
+# they spare each call the page faults of fresh n-by-n buffers.
 _LOCAL = threading.local()
 
 
 def _workspace(n: int) -> _Workspace:
     cache = getattr(_LOCAL, "cache", None)
     if cache is None:
-        cache = _LOCAL.cache = {}
+        cache = _LOCAL.cache = OrderedDict()
     ws = cache.get(n)
     if ws is None:
         ws = cache[n] = _Workspace(n)
+        if len(cache) > _Workspace.PER_THREAD:
+            cache.popitem(last=False)  # the least recently used
+    else:
+        cache.move_to_end(n)
     return ws
 
 

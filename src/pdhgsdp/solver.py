@@ -10,15 +10,16 @@ one A(X_{k+1}) and one A^T(y_{k+1}) per iteration serve the primal step, the
 dual extrapolation and both residuals, and it carries both products into the
 next iteration.
 
-Policies hook in at three points: ``adjust_mid`` runs between the primal and
-dual updates (used by rules that pick the next primal stepsize there, with
-the dual update applying theta = alpha_next/alpha_current), ``dual_update``
-may take over the dual step entirely (backtracking linesearch), and
-``adjust_post`` runs after the residuals are known (residual balancing and
-gradient-alignment rules, whose new stepsizes take effect next iteration).
-Hooks read the cached products from :class:`IterateState` and never apply an
-operator themselves; the linesearch is the one exception, with two A^T
-applications per iteration that serve all of its backtracking trials.
+Policies hook in at three points. ``adjust_mid`` runs between the primal and
+dual updates (tf, schedules), ``adjust_post`` once the residuals are known
+(residual balancing and gradient alignment); each returns the next primal
+stepsize or None, and the engine alone derives theta = alpha_new/alpha_old
+and beta = R/alpha_new from it (:meth:`StepsizeState.move_to`).
+``dual_update`` may take over the dual step entirely: the backtracking
+linesearch, whose product alpha*beta moves by design. Hooks read the cached
+products from :class:`IterateState` and never apply an operator themselves;
+the linesearch is the one exception, with two A^T applications per iteration
+that serve all of its backtracking trials.
 
 The projection splits by the aggregate sparsity pattern: the off-diagonal
 nonzeros of C, of every A_i and of X_0 join their indices into blocks, found
@@ -66,17 +67,23 @@ class SolveError(RuntimeError):
 class StepsizeState:
     """Current stepsize triple plus the preserved product target R.
 
-    ``extra`` holds policy-local scalars (the decaying epsilon of the
-    balancing rules, tf's spectral bound); ``counts`` holds the event
-    counters a policy bumps, which the trace reports as ``flags``.
+    ``counts`` holds the event counters a policy bumps, which the trace
+    reports as ``flags``.
     """
 
     alpha: float
     beta: float
     theta: float
     R: float
-    extra: dict = field(default_factory=dict)
     counts: dict = field(default_factory=dict)
+
+    def move_to(self, alpha: float | None) -> None:
+        """Take ``alpha`` as the new primal stepsize, with theta the ratio to
+        the current one and beta = R/alpha; None keeps all three."""
+        if alpha is not None:
+            self.theta = alpha / self.alpha
+            self.beta = self.R / alpha
+            self.alpha = alpha
 
 
 @dataclass
@@ -226,8 +233,11 @@ class StepsizePolicy:
     def initial_state(self, problem: SdpProblem) -> StepsizeState:
         raise NotImplementedError
 
-    def adjust_mid(self, problem, it: IterateState, x_new, ss: StepsizeState) -> None:
-        pass
+    def adjust_mid(self, problem, it: IterateState, x_new,
+                   ss: StepsizeState) -> float | None:
+        """Return the stepsize this iteration's dual step pairs with, or None
+        to keep the stepsizes."""
+        return None
 
     def dual_update(self, problem, it: IterateState, x_new, ax_new,
                     ss: StepsizeState) -> tuple[np.ndarray, np.ndarray] | None:
@@ -236,10 +246,10 @@ class StepsizePolicy:
         return None
 
     def adjust_post(self, problem, it: IterateState, x_new, p_mat,
-                    report: ResidualReport, ss: StepsizeState) -> None:
-        """Runs once the residuals are known; ``p_mat`` is the primal residual
-        matrix of this iteration."""
-        pass
+                    report: ResidualReport, ss: StepsizeState) -> float | None:
+        """Return the next iteration's stepsize, or None, once the residuals
+        are known; ``p_mat`` is the primal residual matrix of this iteration."""
+        return None
 
 
 class FixedPolicy(StepsizePolicy):
@@ -274,9 +284,9 @@ class FixedPolicy(StepsizePolicy):
 
 
 class _BalancingBase(StepsizePolicy):
-    """Shared three-branch update: grow alpha by 1/(1-eps_k), hold, or shrink
-    by (1-eps_k); beta follows so alpha*beta stays R; theta reports the factor;
-    eps decays geometrically each iteration.
+    """Shared three-branch update after iteration k: grow alpha to
+    alpha/(1-eps_k), hold it, or shrink it to alpha (1-eps_k), with the
+    geometrically decaying eps_k = eps0 eta^k.
 
     The start is fixed's product R split in the units of the constraint rows:
     alpha_0 = sqrt(R) rho and beta_0 = sqrt(R)/rho, with rho the RMS Frobenius
@@ -300,7 +310,6 @@ class _BalancingBase(StepsizePolicy):
         ss = FixedPolicy().initial_state(problem)
         rho = problem.constraints.rms_row_norm()
         ss.alpha, ss.beta = ss.alpha * rho, ss.beta / rho
-        ss.extra["eps"] = self.eps0
         return ss
 
     # returns +1 (grow alpha), 0 (hold), -1 (shrink alpha)
@@ -308,19 +317,13 @@ class _BalancingBase(StepsizePolicy):
         raise NotImplementedError
 
     def adjust_post(self, problem, it, x_new, p_mat, report, ss):
-        eps = ss.extra["eps"]
+        eps = self.eps0 * self.eta ** it.k
         branch = self._branch(it, x_new, p_mat, report, ss)
         if branch > 0:
-            factor = 1.0 / (1.0 - eps)
-        elif branch < 0:
-            factor = 1.0 - eps
-        else:
-            factor = 1.0
-        if factor != 1.0:
-            ss.alpha *= factor
-            ss.beta = ss.R / ss.alpha
-        ss.theta = factor
-        ss.extra["eps"] = eps * self.eta
+            return ss.alpha / (1.0 - eps)
+        if branch < 0:
+            return ss.alpha * (1.0 - eps)
+        return ss.alpha
 
 
 class BalancedResidualPolicy(_BalancingBase):
@@ -428,16 +431,12 @@ class TuningFreePolicy(StepsizePolicy):
 
         t_k     = clamp(||X^k|| / ||X^k - X^{k-1} + alpha_{k-1} A^T(y^k)||)
         alpha_k = (1 - w_k + w_k t_k) alpha_{k-1},  w_k = 2^(-k/100)
-        beta_k  = 1 / (eps alpha_k)
 
-    alpha_k is the next primal stepsize, so alpha_k beta_k = 1/eps is
-    preserved. The dual extrapolation theta_k is the realized ratio
-    alpha_k/alpha_{k-1} = 1 - w_k + w_k t_k, which keeps the
-    iteration inside the convergence theory (theta equals the stepsize ratio
-    and tends to 1 as w_k vanishes). A vanishing clamp denominator maps to
-    theta_max and bumps the ``tf_zero_denominator`` counter; if ||X^k|| is
-    zero too, the ratio is 0/0 and counts as 1, its value from the zero start
-    wherever it is defined. That is the first step from the zero start when
+    The engine pairs alpha_k with beta_k = R/alpha_k, R = 1/eps, and the
+    realized ratio theta_k = alpha_k/alpha_{k-1}, which tends to 1 as w_k
+    vanishes. A vanishing clamp denominator maps to theta_max and bumps the
+    ``tf_zero_denominator`` counter; if ||X^k|| is zero too, the ratio is 0/0
+    and counts as 1, its value from the zero start wherever it is defined. That is the first step from the zero start when
     Proj_PSD(-alpha C) = 0 (C = 0, or a PSD C as on max-cut); read as
     theta_max, it would turn on whether roundoff leaves an eigenvalue of
     order +1e-17 in that projection.
@@ -467,13 +466,9 @@ class TuningFreePolicy(StepsizePolicy):
         if eps == 0.0:
             raise ValueError(f"{_ZERO_MAP}: it sets no eps, so pass tf an eps > 0")
         a0 = self.alpha_init
-        return StepsizeState(
-            alpha=a0, beta=1.0 / (eps * a0), theta=1.0, R=1.0 / eps,
-            extra={"eps": eps},
-        )
+        return StepsizeState(alpha=a0, beta=1.0 / (eps * a0), theta=1.0, R=1.0 / eps)
 
     def adjust_mid(self, problem, it, x_new, ss):
-        eps = ss.extra["eps"]
         k_one_based = it.k + 1
         omega = 2.0 ** (-k_one_based / 100.0)
         ref = x_new - it.X_cur + ss.alpha * it.Aty
@@ -484,10 +479,7 @@ class TuningFreePolicy(StepsizePolicy):
             ss.counts["tf_zero_denominator"] = ss.counts.get("tf_zero_denominator", 0) + 1
         else:
             clamped = min(max(num / den, self.theta_min), self.theta_max)
-        factor = 1.0 - omega + omega * clamped
-        ss.alpha = factor * ss.alpha
-        ss.beta = 1.0 / (eps * ss.alpha)
-        ss.theta = factor
+        return (1.0 - omega + omega * clamped) * ss.alpha
 
 
 class SchedulePolicy(StepsizePolicy):
@@ -499,6 +491,7 @@ class SchedulePolicy(StepsizePolicy):
     name = "schedule"
 
     def __init__(self, alphas: Callable[[int], float], R: float):
+        _require_positive("R", R)
         self._alphas = alphas
         self.R = R
 
@@ -513,10 +506,7 @@ class SchedulePolicy(StepsizePolicy):
         return StepsizeState(alpha=a0, beta=self.R / a0, theta=1.0, R=self.R)
 
     def adjust_mid(self, problem, it, x_new, ss):
-        a_next = self.alpha_at(it.k + 1)
-        ss.theta = a_next / ss.alpha
-        ss.beta = ss.R / a_next
-        ss.alpha = a_next
+        return self.alpha_at(it.k + 1)
 
 
 # --- the engine --------------------------------------------------------------
@@ -618,7 +608,7 @@ def solve(problem: SdpProblem, policy: StepsizePolicy,
             it = IterateState(X_cur=x_cur, y=y, AX=ax, Aty=aty, k=k)
             dual = policy.dual_update(problem, it, x_new, ax_new, ss)
             if dual is None:
-                policy.adjust_mid(problem, it, x_new, ss)
+                ss.move_to(policy.adjust_mid(problem, it, x_new, ss))
                 theta = ss.theta
                 y_new = y + ss.beta * ((1.0 + theta) * ax_new - theta * ax - b)
                 aty_new = adjoint(cmap, y_new)
@@ -634,7 +624,7 @@ def solve(problem: SdpProblem, policy: StepsizePolicy,
 
             converged = stop_check(report, config.tol)
             if not converged:
-                policy.adjust_post(problem, it, x_new, p_mat, report, ss)
+                ss.move_to(policy.adjust_post(problem, it, x_new, p_mat, report, ss))
         except Exception as exc:  # surface any failure with the partial trace
             trace = RunTrace(rows, "error", SymMat(x_cur), y.copy(),
                              flags=dict(ss.counts))

@@ -233,6 +233,49 @@ def test_threads_do_not_share_a_workspace():
     assert errors == []
 
 
+class TestWorkspaceCache:
+    """Each thread keeps the dsyevx workspaces of its most recently used
+    dimensions, at most ``_Workspace.PER_THREAD`` of them."""
+
+    CAP = projections_module._Workspace.PER_THREAD
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self, monkeypatch):
+        if projections_module._DSYEVX is None:
+            pytest.skip("numpy's LAPACK exports no dsyevx")
+        monkeypatch.setattr(projections_module, "_LOCAL", threading.local())
+
+    def test_keeps_the_most_recent_sizes(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 21):
+            proj_psd_dense(random_sym(rng, n).to_dense())
+            proj_psd_dense(random_sym(rng, 4).to_dense())  # 4 stays recent
+        cache = projections_module._LOCAL.cache
+        assert len(cache) == self.CAP
+        assert sorted(cache) == [4] + list(range(21 - self.CAP + 1, 21))
+
+    def test_outputs_match_a_fresh_workspace(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        mats = [random_sym(rng, n).to_dense() for n in range(1, 21)]
+        # two rounds, so each size's workspace is evicted before its next use
+        churned = [proj_psd_dense(mat) for mat in mats + mats]
+        for i, mat in enumerate(mats):
+            monkeypatch.setattr(projections_module, "_LOCAL", threading.local())
+            fresh = proj_psd_dense(mat)
+            assert np.array_equal(churned[i], fresh)
+            assert np.array_equal(churned[i + len(mats)], fresh)
+
+    def test_one_size_reuses_its_workspace(self):
+        rng = np.random.default_rng(13)
+        mat = random_sym(rng, 7).to_dense()
+        first = proj_psd_dense(mat)
+        ws = projections_module._workspace(7)
+        for _ in range(3):
+            assert np.array_equal(proj_psd_dense(mat), first)
+        assert projections_module._workspace(7) is ws
+        assert list(projections_module._LOCAL.cache) == [7]
+
+
 def cycle_maxcut(n):
     diag = np.arange(n)
     return SdpProblem(SymMat.from_dense(cycle_laplacian(n)),

@@ -240,40 +240,43 @@ class TestFixedPolicy:
 
 class TestBalancedResidualPolicy:
     def _state(self, alpha=0.5, beta=0.8):
-        return StepsizeState(alpha=alpha, beta=beta, theta=1.0, R=alpha * beta,
-                             extra={"eps": 0.5})
+        return StepsizeState(alpha=alpha, beta=beta, theta=1.0, R=alpha * beta)
 
-    def _iterate(self, prob):
-        return iterate_state(prob, np.zeros((prob.n, prob.n)), np.zeros(prob.m))
+    def _iterate(self, prob, k=0):
+        return iterate_state(prob, np.zeros((prob.n, prob.n)), np.zeros(prob.m), k=k)
 
     def test_balanced_branch_keeps_stepsizes(self):
         prob = small_rg(13)
         pol = BalancedResidualPolicy()
         ss = self._state()
         rep = ResidualReport(1.0, 1.0, 2.0)
-        pol.adjust_post(prob, self._iterate(prob), None, None, rep, ss)
+        alpha = pol.adjust_post(prob, self._iterate(prob), None, None, rep, ss)
+        assert alpha == 0.5
+        assert ss == self._state()  # the hook leaves the stepsizes to the engine
+        ss.move_to(alpha)
         assert ss.alpha == 0.5 and ss.beta == 0.8 and ss.theta == 1.0
-        assert ss.extra["eps"] == 0.5 * 0.95
 
     def test_grow_branch_doubles_alpha(self):
-        # p = 10 d with eps = 0.5: alpha doubles, beta halves
+        # p = 10 d with eps = 0.5: alpha doubles, so beta halves
         prob = small_rg(14)
         pol = BalancedResidualPolicy(eps0=0.5)
         ss = self._state(alpha=0.5, beta=0.8)
         rep = ResidualReport(10.0, 1.0, 101.0)
-        pol.adjust_post(prob, self._iterate(prob), None, None, rep, ss)
-        assert ss.alpha == pytest.approx(1.0, rel=1e-15)
-        assert ss.beta == pytest.approx(0.4, rel=1e-12)
-        assert ss.theta == pytest.approx(2.0, rel=1e-15)
+        alpha = pol.adjust_post(prob, self._iterate(prob), None, None, rep, ss)
+        assert alpha == 1.0
+        ss.move_to(alpha)
+        assert ss.beta == pytest.approx(0.4, rel=1e-15)
+        assert ss.theta == 2.0
 
     def test_shrink_branch(self):
         prob = small_rg(15)
         pol = BalancedResidualPolicy(eps0=0.5)
         ss = self._state(alpha=1.0, beta=0.4)
         rep = ResidualReport(0.1, 1.0, 1.01)
-        pol.adjust_post(prob, self._iterate(prob), None, None, rep, ss)
-        assert ss.alpha == pytest.approx(0.5, rel=1e-15)
-        assert ss.theta == pytest.approx(0.5, rel=1e-15)
+        alpha = pol.adjust_post(prob, self._iterate(prob), None, None, rep, ss)
+        assert alpha == 0.5
+        ss.move_to(alpha)
+        assert ss.theta == 0.5
 
     def test_theta_equals_alpha_ratio_identity(self):
         prob = small_rg(16)
@@ -283,16 +286,14 @@ class TestBalancedResidualPolicy:
             assert cur.theta == pytest.approx(cur.alpha / prev.alpha, rel=1e-12)
 
     def test_epsilon_decays_geometrically(self):
+        # the shrink branch after iteration k returns alpha (1 - eps0 eta^k)
         pol = BalancedResidualPolicy(eps0=0.5, eta=0.95)
         prob = small_rg(17)
-        ss = pol.initial_state(prob)
-        eps = [ss.extra["eps"]]
-        it = self._iterate(prob)
-        for _ in range(5):
-            pol.adjust_post(prob, it, None, None, ResidualReport(1.0, 1.0, 2.0), ss)
-            eps.append(ss.extra["eps"])
-        for before, after in zip(eps, eps[1:]):
-            assert after == before * 0.95  # exact geometric decay
+        ss = self._state(alpha=1.0, beta=0.4)
+        rep = ResidualReport(0.1, 1.0, 1.01)
+        for k in range(6):
+            alpha = pol.adjust_post(prob, self._iterate(prob, k), None, None, rep, ss)
+            assert alpha == 1.0 - 0.5 * 0.95 ** k
 
     @pytest.mark.parametrize("ratio, branch", [(2.0, 0), (3.0, 1)])
     def test_grow_threshold_is_twice_the_dual_residual(self, ratio, branch):
@@ -318,44 +319,41 @@ class TestGradientAlignmentPolicy:
         return prob, dx
 
     def _run_branch(self, prob, dx, delta_y, eps0=0.5):
+        """The stepsize the hook returns from alpha = 1."""
         pol = GradientAlignmentPolicy(eps0=eps0)
-        ss = StepsizeState(alpha=1.0, beta=1.0, theta=1.0, R=1.0, extra={"eps": eps0})
+        ss = StepsizeState(alpha=1.0, beta=1.0, theta=1.0, R=1.0)
         x_new = np.zeros((2, 2))
         it = iterate_state(prob, dx.copy(), np.zeros(2))
         y_new = -np.asarray(delta_y, dtype=float)  # so y_old - y_new = delta_y
         # the engine's primal residual matrix, here with alpha = 1
         p_mat = (it.X_cur - x_new) - adjoint(prob.constraints, it.y - y_new)
-        pol.adjust_post(prob, it, x_new, p_mat, ResidualReport(1.0, 1.0, 2.0), ss)
-        return ss
+        return pol.adjust_post(prob, it, x_new, p_mat, ResidualReport(1.0, 1.0, 2.0), ss)
 
     def test_parallel_residual_grows_alpha(self):
         prob, dx = self._setup()
         # delta_y = 0 -> p = dx/alpha, perfectly aligned with dx
-        ss = self._run_branch(prob, dx, delta_y=[0.0, 0.0])
-        assert ss.alpha == pytest.approx(2.0, rel=1e-15)
+        assert self._run_branch(prob, dx, delta_y=[0.0, 0.0]) == 2.0
 
     def test_orthogonal_residual_holds(self):
         prob, dx = self._setup()
         # A^T(delta_y) = dx + A1 => p = -A1, orthogonal to dx
         norm_dx = np.linalg.norm(dx)
-        ss = self._run_branch(prob, dx, delta_y=[1.0, norm_dx])
-        assert ss.alpha == 1.0 and ss.theta == 1.0
+        assert self._run_branch(prob, dx, delta_y=[1.0, norm_dx]) == 1.0
 
     def test_antiparallel_residual_shrinks_alpha(self):
         prob, dx = self._setup()
         # A^T(delta_y) = 2 dx => p = -dx
-        ss = self._run_branch(prob, dx, delta_y=[0.0, 2.0 * np.linalg.norm(dx)])
-        assert ss.alpha == pytest.approx(0.5, rel=1e-15)
+        assert self._run_branch(prob, dx, delta_y=[0.0, 2.0 * np.linalg.norm(dx)]) == 0.5
 
     def test_degenerate_cosine_flag(self):
         prob, dx = self._setup()
         pol = GradientAlignmentPolicy()
-        ss = StepsizeState(alpha=1.0, beta=1.0, theta=1.0, R=1.0, extra={"eps": 0.5})
+        ss = StepsizeState(alpha=1.0, beta=1.0, theta=1.0, R=1.0)
         x_same = dx.copy()
         it = iterate_state(prob, dx.copy(), np.zeros(2))
-        pol.adjust_post(prob, it, x_same, np.zeros((2, 2)),
-                        ResidualReport(0.0, 0.0, 0.0), ss)
-        assert ss.alpha == 1.0 and ss.theta == 1.0
+        alpha = pol.adjust_post(prob, it, x_same, np.zeros((2, 2)),
+                                ResidualReport(0.0, 0.0, 0.0), ss)
+        assert alpha == 1.0
         assert ss.counts == {"degenerate_cosine": 1}
 
 
@@ -520,14 +518,17 @@ class TestTuningFreePolicy:
         prob = small_rg(23)
         pol = TuningFreePolicy()
         ss = pol.initial_state(prob)
-        eps = ss.extra["eps"]
         # x_new with ||x_new|| == ||x_new - x_cur + alpha A^T(y)||: y = 0,
         # x_cur = 0 makes the ratio exactly 1
         x_new = np.eye(5)
         it = iterate_state(prob, np.zeros((5, 5)), np.zeros(3))
-        pol.adjust_mid(prob, it, x_new, ss)
-        assert ss.alpha == 1.0 and ss.theta == 1.0
-        assert ss.beta == pytest.approx(1.0 / eps, rel=1e-15)
+        alpha = pol.adjust_mid(prob, it, x_new, ss)
+        assert alpha == 1.0
+        ss.move_to(alpha)
+        assert ss.theta == 1.0
+        # beta = R/alpha with R = 1/eps and the default eps = lambda_max (1 + 1e-6)
+        eps = lambda_max_AAt(prob.constraints) * TuningFreePolicy._EPS_MARGIN
+        assert ss.beta == ss.R == 1.0 / eps
 
     def test_zero_denominator_clamps_to_theta_max(self):
         # at one-based iteration 100, omega = 1/2, so the blend of the clamp
@@ -537,10 +538,11 @@ class TestTuningFreePolicy:
         ss = pol.initial_state(prob)
         x_same = np.eye(5)
         it = iterate_state(prob, x_same.copy(), np.zeros(3), k=99)
-        pol.adjust_mid(prob, it, x_same, ss)
+        alpha = pol.adjust_mid(prob, it, x_same, ss)
         factor = 0.5 + 0.5 * TuningFreePolicy.theta_max
+        assert alpha == factor * TuningFreePolicy.alpha_init
+        ss.move_to(alpha)
         assert ss.theta == factor
-        assert ss.alpha == factor * TuningFreePolicy.alpha_init
         assert ss.counts == {"tf_zero_denominator": 1}
 
     def test_zero_over_zero_keeps_alpha(self):
@@ -549,8 +551,7 @@ class TestTuningFreePolicy:
         pol = TuningFreePolicy()
         ss = pol.initial_state(prob)
         it = iterate_state(prob, np.zeros((5, 5)), np.zeros(3), k=99)
-        pol.adjust_mid(prob, it, np.zeros((5, 5)), ss)
-        assert ss.alpha == TuningFreePolicy.alpha_init and ss.theta == 1.0
+        assert pol.adjust_mid(prob, it, np.zeros((5, 5)), ss) == TuningFreePolicy.alpha_init
         assert ss.counts == {"tf_zero_denominator": 1}
 
     @pytest.mark.parametrize("make_problem", [
@@ -572,8 +573,9 @@ class TestTuningFreePolicy:
         x_new = np.diag([3.0, 0.0, 0.0, 0.0, 0.0])
         it = iterate_state(prob, x_cur, np.zeros(3), k=99)
         alpha_before = ss.alpha
-        pol.adjust_mid(prob, it, x_new, ss)
-        assert ss.alpha == pytest.approx(2.0 * alpha_before, rel=1e-14)
+        alpha = pol.adjust_mid(prob, it, x_new, ss)
+        assert alpha == pytest.approx(2.0 * alpha_before, rel=1e-14)
+        ss.move_to(alpha)
         assert ss.theta == pytest.approx(2.0, rel=1e-14)  # realized ratio
 
     def test_eps_floor_enforced(self):
@@ -582,6 +584,13 @@ class TestTuningFreePolicy:
             solve(prob, TuningFreePolicy(eps=1.0), SolveConfig(max_iters=1))
         trace = solve(prob, TuningFreePolicy(eps=2.0), SolveConfig(max_iters=5))
         assert trace.iterations == 5
+
+
+class TestSchedulePolicy:
+    @pytest.mark.parametrize("R", [-1.0, 0.0, np.nan, np.inf])
+    def test_rejects_non_positive_or_non_finite_product(self, R):
+        with pytest.raises(ValueError, match="R must be a finite positive number"):
+            SchedulePolicy(lambda k: 1.0, R=R)
 
 
 class TestSolveEngine:
@@ -1038,7 +1047,7 @@ def test_one_projection_per_iteration(name, monkeypatch):
 def test_trace_residuals_match_public_formula(name, make_problem):
     prob = make_problem()
     policy = every_policy(name, prob)
-    states = []  # the engine's stepsize state, which the hooks update in place
+    states = []  # the engine's stepsize state, which it updates in place
     alphas = []  # primal stepsize of each iteration
     initial_state = policy.initial_state
 
@@ -1062,6 +1071,49 @@ def test_trace_residuals_match_public_formula(name, make_problem):
         rep = residuals(prob, xs[k], xs[k + 1], ys[k], ys[k + 1], alphas[k], row.beta)
         assert row.p_norm == pytest.approx(rep.p_norm, rel=1e-9)
         assert row.d_norm == pytest.approx(rep.d_norm, rel=1e-9)
+
+
+# the first row whose stepsizes the engine derived from a returned alpha:
+# fixed keeps its start, the balancing rules move after iteration 0, and tf
+# and the schedule within it
+FIRST_MOVED_ROW = {"fixed": None, "bpdr": 1, "alv": 1, "tf": 0, "schedule": 0}
+
+
+@pytest.mark.parametrize("make_problem", [lambda: small_rg(1),
+                                          lambda: gen_maxcut(1, n=8, m_edges=10)],
+                         ids=["rg", "mc"])
+@pytest.mark.parametrize("name", sorted(FIRST_MOVED_ROW))
+def test_stepsize_identities_hold_exactly(name, make_problem):
+    """Every row has theta_k = alpha_k/alpha_{k-1} and, once the engine has
+    moved the stepsizes, alpha_k beta_k = R as beta_k = R/alpha_k, bitwise;
+    rows before the first move carry the policy's start unchanged. The hooks
+    only return a stepsize: none of them writes one."""
+    prob = make_problem()
+    start = every_policy(name, prob).initial_state(prob)
+    policy = every_policy(name, prob)
+
+    def read_only(hook):
+        def wrapped(*args):
+            ss = args[-1]
+            before = (ss.alpha, ss.beta, ss.theta)
+            out = hook(*args)
+            assert (ss.alpha, ss.beta, ss.theta) == before
+            return out
+        return wrapped
+
+    for hook in ("adjust_mid", "dual_update", "adjust_post"):
+        setattr(policy, hook, read_only(getattr(policy, hook)))
+    trace = solve(prob, policy, SolveConfig(max_iters=300, tol=1e-300))
+    assert trace.iterations == 300
+    prev = start.alpha
+    for row in trace.rows:
+        assert row.theta == row.alpha / prev
+        prev = row.alpha
+    first = FIRST_MOVED_ROW[name]
+    for row in trace.rows[:first]:
+        assert (row.alpha, row.beta, row.theta) == (start.alpha, start.beta, start.theta)
+    for row in trace.rows[first:] if first is not None else []:
+        assert row.beta == start.R / row.alpha
 
 
 def test_make_policy_dispatch():
