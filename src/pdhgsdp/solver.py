@@ -10,11 +10,13 @@ one A(X_{k+1}) and one A^T(y_{k+1}) per iteration serve the primal step, the
 dual extrapolation and both residuals, and it carries both products into the
 next iteration.
 
-Policies hook in at three points. ``adjust_mid`` runs between the primal and
-dual updates (tf, schedules), ``adjust_post`` once the residuals are known
-(residual balancing and gradient alignment); each returns the next primal
-stepsize or None, and the engine alone derives theta = alpha_new/alpha_old
-and beta = R/alpha_new from it (:meth:`StepsizeState.move_to`).
+Every policy starts at :meth:`StepsizeState.start`: its first alpha, with
+beta = R/alpha and theta = 1. It then hooks in at three points.
+``adjust_mid`` runs between the primal and dual updates (tf, schedules),
+``adjust_post`` once the residuals are known (residual balancing and
+gradient alignment); each returns the next primal stepsize or None, and the
+engine alone derives theta = alpha_new/alpha_old and beta = R/alpha_new from
+it (:meth:`StepsizeState.move_to`).
 ``dual_update`` may take over the dual step entirely: the backtracking
 linesearch, whose product alpha*beta moves by design. Hooks read the cached
 products from :class:`IterateState` and never apply an operator themselves;
@@ -76,6 +78,11 @@ class StepsizeState:
     theta: float
     R: float
     counts: dict = field(default_factory=dict)
+
+    @classmethod
+    def start(cls, alpha: float, R: float) -> "StepsizeState":
+        """The first stepsizes: alpha with beta = R/alpha and theta = 1."""
+        return cls(alpha=alpha, beta=R / alpha, theta=1.0, R=R)
 
     def move_to(self, alpha: float | None) -> None:
         """Take ``alpha`` as the new primal stepsize, with theta the ratio to
@@ -221,7 +228,8 @@ def default_stepsize_product(lam_max: float) -> float:
     """Default preserved product 0.9/lambda_max, strictly inside the
     admissible range."""
     if lam_max == 0.0:
-        raise ValueError(f"{_ZERO_MAP}: it sets no stepsize product, so pass the stepsizes")
+        raise ValueError(f"{_ZERO_MAP}: it sets no default stepsize product "
+                         "(ls, and a schedule given its own R, need none)")
     return 0.9 / lam_max
 
 
@@ -253,34 +261,14 @@ class StepsizePolicy:
 
 
 class FixedPolicy(StepsizePolicy):
-    """Constant stepsizes with theta = 1.
-
-    Defaults to alpha = beta = sqrt(0.9 / lambda_max(A^T A)); explicit values
-    must keep alpha*beta strictly below 1/lambda_max.
-    """
+    """Constant stepsizes with theta = 1: alpha = sqrt(R) and beta = R/alpha
+    for R = 0.9/lambda_max(AA^T)."""
 
     name = "fixed"
 
-    def __init__(self, alpha: float | None = None, beta: float | None = None):
-        if (alpha is None) != (beta is None):
-            raise ValueError("give both alpha and beta or neither")
-        if alpha is not None:
-            _require_positive("alpha", alpha)
-            _require_positive("beta", beta)
-        self.alpha = alpha
-        self.beta = beta
-
     def initial_state(self, problem: SdpProblem) -> StepsizeState:
-        lam = lambda_max_AAt(problem.constraints)
-        if self.alpha is None:
-            root = math.sqrt(default_stepsize_product(lam))
-            return StepsizeState(alpha=root, beta=root, theta=1.0, R=root * root)
-        r = self.alpha * self.beta
-        if r * lam >= 1.0:
-            raise ValueError(
-                f"alpha*beta = {r} is not strictly below 1/lambda_max = {1.0 / lam}"
-            )
-        return StepsizeState(alpha=self.alpha, beta=self.beta, theta=1.0, R=r)
+        R = default_stepsize_product(lambda_max_AAt(problem.constraints))
+        return StepsizeState.start(math.sqrt(R), R)
 
 
 class _BalancingBase(StepsizePolicy):
@@ -289,7 +277,7 @@ class _BalancingBase(StepsizePolicy):
     geometrically decaying eps_k = eps0 eta^k.
 
     The start is fixed's product R split in the units of the constraint rows:
-    alpha_0 = sqrt(R) rho and beta_0 = sqrt(R)/rho, with rho the RMS Frobenius
+    alpha_0 = sqrt(R) rho and beta_0 = R/alpha_0, with rho the RMS Frobenius
     norm of the A_i. Scaling every A_i and b by s scales sqrt(R) by 1/s and
     rho by s, so alpha_0 is free of the rows' units, as the primal step
     X - alpha (A^T(y) + C) is; fixed's alpha_0 = sqrt(R) would shrink with
@@ -307,10 +295,8 @@ class _BalancingBase(StepsizePolicy):
         self.eta = eta
 
     def initial_state(self, problem: SdpProblem) -> StepsizeState:
-        ss = FixedPolicy().initial_state(problem)
-        rho = problem.constraints.rms_row_norm()
-        ss.alpha, ss.beta = ss.alpha * rho, ss.beta / rho
-        return ss
+        fixed = FixedPolicy().initial_state(problem)
+        return StepsizeState.start(fixed.alpha * problem.constraints.rms_row_norm(), fixed.R)
 
     # returns +1 (grow alpha), 0 (hold), -1 (shrink alpha)
     def _branch(self, it, x_new, p_mat, report, ss) -> int:
@@ -397,8 +383,9 @@ class LinesearchPolicy(StepsizePolicy):
     def initial_state(self, problem: SdpProblem) -> StepsizeState:
         lam = lambda_max_AAt(problem.constraints)
         # largest alpha passing the acceptance test for the worst dual step
+        # (its beta is never read: dual_update sets the stepsizes first)
         a0 = 0.9 / math.sqrt(self.s * lam) if lam > 0 else 1.0
-        return StepsizeState(alpha=a0, beta=self.s * a0, theta=1.0, R=self.s * a0 * a0)
+        return StepsizeState.start(a0, self.s * a0 * a0)
 
     def dual_update(self, problem, it, x_new, ax_new, ss):
         u = ax_new - problem.b
@@ -436,10 +423,10 @@ class TuningFreePolicy(StepsizePolicy):
     realized ratio theta_k = alpha_k/alpha_{k-1}, which tends to 1 as w_k
     vanishes. A vanishing clamp denominator maps to theta_max and bumps the
     ``tf_zero_denominator`` counter; if ||X^k|| is zero too, the ratio is 0/0
-    and counts as 1, its value from the zero start wherever it is defined. That is the first step from the zero start when
-    Proj_PSD(-alpha C) = 0 (C = 0, or a PSD C as on max-cut); read as
-    theta_max, it would turn on whether roundoff leaves an eigenvalue of
-    order +1e-17 in that projection.
+    and counts as 1, its value from the zero start wherever it is defined.
+    That is the first step from the zero start when Proj_PSD(-alpha C) = 0
+    (C = 0, or a PSD C as on max-cut); read as theta_max, it would turn on
+    whether roundoff leaves an eigenvalue of order +1e-17 in that projection.
     """
 
     name = "tf"
@@ -465,8 +452,7 @@ class TuningFreePolicy(StepsizePolicy):
             )
         if eps == 0.0:
             raise ValueError(f"{_ZERO_MAP}: it sets no eps, so pass tf an eps > 0")
-        a0 = self.alpha_init
-        return StepsizeState(alpha=a0, beta=1.0 / (eps * a0), theta=1.0, R=1.0 / eps)
+        return StepsizeState.start(self.alpha_init, 1.0 / eps)
 
     def adjust_mid(self, problem, it, x_new, ss):
         k_one_based = it.k + 1
@@ -497,13 +483,11 @@ class SchedulePolicy(StepsizePolicy):
 
     def alpha_at(self, k: int) -> float:
         a = self._alphas(k)
-        if a <= 0:
-            raise ValueError(f"schedule produced non-positive alpha at k={k}: {a}")
+        _require_positive(f"the schedule's alpha at k={k}", a)
         return float(a)
 
     def initial_state(self, problem: SdpProblem) -> StepsizeState:
-        a0 = self.alpha_at(0)
-        return StepsizeState(alpha=a0, beta=self.R / a0, theta=1.0, R=self.R)
+        return StepsizeState.start(self.alpha_at(0), self.R)
 
     def adjust_mid(self, problem, it, x_new, ss):
         return self.alpha_at(it.k + 1)

@@ -14,7 +14,7 @@ from pdhgsdp.operators import (
     lambda_max_AAt,
 )
 from pdhgsdp.problems import SdpProblem, gen_maxcut, gen_random, gen_snl, graph_laplacian
-from pdhgsdp.projections import proj_psd
+from pdhgsdp.projections import proj_psd, proj_psd_dense
 from pdhgsdp.solver import (
     POLICY_NAMES,
     BalancedResidualPolicy,
@@ -228,14 +228,9 @@ class TestFixedPolicy:
             assert abs(row.alpha * row.beta - r0) <= 1e-12 * r0
 
     def test_invalid_product_rejected(self):
-        prob = gen_maxcut(1, n=4, m_edges=3)  # lambda_max = 1
-        with pytest.raises(ValueError):
-            solve(prob, FixedPolicy(alpha=1.0, beta=1.0),
-                  SolveConfig(max_iters=1))
-        with pytest.raises(ValueError):
-            FixedPolicy(alpha=1.0)
-        with pytest.raises(ValueError):
-            FixedPolicy(alpha=-1.0, beta=1.0)
+        # fixed takes no stepsizes: its product is always 0.9/lambda_max
+        with pytest.raises(ValueError, match="'alpha'"):
+            make_policy("fixed", alpha=1.0)
 
 
 class TestBalancedResidualPolicy:
@@ -365,9 +360,9 @@ def rows_scaled(prob, k):
 
 
 class TestUnitFreeStart:
-    """bpdr and alv start at alpha_0 = sqrt(R) rho, beta_0 = sqrt(R)/rho, with
-    rho the RMS Frobenius norm of the A_i: alpha_0 does not change when the
-    rows are rescaled."""
+    """bpdr and alv start at fixed's alpha_0 = sqrt(R) times rho, the RMS
+    Frobenius norm of the A_i, with beta_0 = R/alpha_0: alpha_0 does not
+    change when the rows are rescaled."""
 
     @pytest.mark.parametrize("k", [-3, 3])
     @pytest.mark.parametrize("name", ["alv", "tf"])
@@ -398,17 +393,20 @@ class TestUnitFreeStart:
         ss = make_policy(name).initial_state(prob)
         rho = prob.constraints.rms_row_norm()
         assert rho != 1.0
-        assert ss.alpha == fixed.alpha * rho and ss.beta == fixed.beta / rho
+        assert ss.alpha == fixed.alpha * rho and ss.beta == ss.R / ss.alpha
         assert ss.R == fixed.R
-        assert ss.alpha * ss.beta == pytest.approx(ss.R, rel=1e-15)
+        assert ss.theta == 1.0
 
     @pytest.mark.parametrize("name", ["bpdr", "alv"])
     def test_unit_norm_rows_start_at_balanced_pair(self, name):
         # max-cut's A_i = e_i e_i^T have unit norm, so rho = 1 exactly
         prob = gen_maxcut(3, n=8, m_edges=10)
+        fixed = FixedPolicy().initial_state(prob)
         ss = make_policy(name).initial_state(prob)
-        root = np.sqrt(default_stepsize_product(lambda_max_AAt(prob.constraints)))
-        assert ss.alpha == ss.beta == root
+        rho = prob.constraints.rms_row_norm()
+        assert rho == 1.0
+        assert ss.alpha == fixed.alpha * rho and ss.beta == ss.R / ss.alpha
+        assert ss.R == fixed.R
 
 
 class TestZeroConstraintMap:
@@ -421,8 +419,7 @@ class TestZeroConstraintMap:
             solve(prob, every_policy(name, prob), SolveConfig(max_iters=1))
 
     def test_given_stepsizes_still_run(self):
-        for policy in (FixedPolicy(alpha=1.0, beta=1.0), TuningFreePolicy(eps=1.0),
-                       SchedulePolicy(lambda k: 1.0, R=1.0)):
+        for policy in (TuningFreePolicy(eps=1.0), SchedulePolicy(lambda k: 1.0, R=1.0)):
             trace = solve(zero_map_problem(), policy, SolveConfig(max_iters=2))
             assert trace.status == "converged"  # X = 0 is optimal
 
@@ -592,6 +589,27 @@ class TestSchedulePolicy:
         with pytest.raises(ValueError, match="R must be a finite positive number"):
             SchedulePolicy(lambda k: 1.0, R=R)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j, "1.0", True],
+                             ids=["nan", "inf", "-inf", "complex", "str", "bool"])
+    def test_non_finite_or_non_real_alpha_fails_at_the_start(self, bad):
+        policy = SchedulePolicy(lambda k: bad, R=1.0)
+        with pytest.raises(ValueError, match="k=0"):
+            solve(small_rg(1), policy, SolveConfig(max_iters=1))
+
+    def test_non_finite_alpha_mid_run_keeps_completed_rows(self):
+        # iteration 2's dual step pairs with alpha_at(3), which is infinite
+        prob = gen_random(1, n=6, m=4)
+        policy = SchedulePolicy(lambda k: np.inf if k == 3 else 1.0,
+                                R=default_stepsize_product(lambda_max_AAt(prob.constraints)))
+        with pytest.raises(SolveError) as excinfo:
+            solve(prob, policy, SolveConfig(max_iters=5, tol=1e-300))
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, ValueError) and "k=3" in str(cause)
+        trace = excinfo.value.trace
+        assert trace.status == "error"
+        assert [row.k for row in trace.rows] == [0, 1]
+        assert all(np.isfinite(row.beta) for row in trace.rows)
+
 
 class TestSolveEngine:
     def test_kkt_start_converges_immediately(self):
@@ -686,7 +704,7 @@ class TestSolveEngine:
         # alpha = beta = 0.9/sqrt(lambda_max) keeps the product at
         # 0.81/lambda_max, strictly admissible
         prob = gen_maxcut(1, n=4, m_edges=4)
-        policy = FixedPolicy(alpha=0.9, beta=0.9)  # lambda_max = 1 here
+        policy = SchedulePolicy(lambda k: 0.9, R=0.81)  # lambda_max = 1 here
         trace = solve(prob, policy, SolveConfig(max_iters=50000, tol=1e-6))
         assert trace.status == "converged"
 
@@ -732,18 +750,40 @@ class TestSolveErrors:
         assert trace.rows == []
         np.testing.assert_array_equal(trace.X_final.to_dense(), np.zeros((6, 6)))
 
-    def test_projection_failure_keeps_completed_rows(self):
-        # iteration 2 hands an infinite primal stepsize to iteration 3, whose
-        # projection then fails on a non-finite matrix
-        prob = gen_random(1, n=6, m=4)
-        policy = SchedulePolicy(lambda k: np.inf if k == 3 else 1.0,
-                                R=default_stepsize_product(lambda_max_AAt(prob.constraints)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            with pytest.raises(SolveError) as excinfo:
-                solve(prob, policy, SolveConfig(max_iters=4, tol=1e-300))
+    def test_projection_failure_keeps_completed_rows(self, monkeypatch):
+        # the eigensolver fails in iteration 3's projection (one block here,
+        # so one projection call per iteration)
+        calls = []
+
+        def failing(mat):
+            calls.append(None)
+            if len(calls) == 4:
+                raise np.linalg.LinAlgError("eigenvalues did not converge")
+            return proj_psd_dense(mat)
+
+        monkeypatch.setattr(solver_module, "proj_psd_dense", failing)
+        with pytest.raises(SolveError) as excinfo:
+            solve(gen_random(1, n=6, m=4), FixedPolicy(),
+                  SolveConfig(max_iters=5, tol=1e-300))
+        assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
         trace = excinfo.value.trace
         assert trace.status == "error"
         assert [row.k for row in trace.rows] == [0, 1, 2]
+
+    def test_callback_exception_reaches_caller_unwrapped(self):
+        # a callback may end a solve by raising: the exception is the
+        # caller's own, not a failure of the iteration
+        class Stop(Exception):
+            pass
+
+        def stop(k, _x, _y):
+            if k == 2:
+                raise Stop(k)
+
+        with pytest.raises(Stop) as excinfo:
+            solve(gen_random(1, n=6, m=4), FixedPolicy(),
+                  SolveConfig(max_iters=5, tol=1e-300, callback=stop))
+        assert excinfo.value.args == (2,)
 
     def test_non_finite_projection_input_keeps_completed_rows(self):
         # the callback writes a NaN pair into iteration 2's output, so the
@@ -1073,21 +1113,16 @@ def test_trace_residuals_match_public_formula(name, make_problem):
         assert row.d_norm == pytest.approx(rep.d_norm, rel=1e-9)
 
 
-# the first row whose stepsizes the engine derived from a returned alpha:
-# fixed keeps its start, the balancing rules move after iteration 0, and tf
-# and the schedule within it
-FIRST_MOVED_ROW = {"fixed": None, "bpdr": 1, "alv": 1, "tf": 0, "schedule": 0}
-
-
-@pytest.mark.parametrize("make_problem", [lambda: small_rg(1),
-                                          lambda: gen_maxcut(1, n=8, m_edges=10)],
-                         ids=["rg", "mc"])
-@pytest.mark.parametrize("name", sorted(FIRST_MOVED_ROW))
+@pytest.mark.parametrize("make_problem", [
+    lambda: small_rg(1), lambda: gen_maxcut(1, n=8, m_edges=10),
+    lambda: gen_random(40, n=6, m=4), lambda: gen_random(1),
+], ids=["rg", "mc", "rg40", "rg50"])
+@pytest.mark.parametrize("name", ["alv", "bpdr", "fixed", "schedule", "tf"])
 def test_stepsize_identities_hold_exactly(name, make_problem):
-    """Every row has theta_k = alpha_k/alpha_{k-1} and, once the engine has
-    moved the stepsizes, alpha_k beta_k = R as beta_k = R/alpha_k, bitwise;
-    rows before the first move carry the policy's start unchanged. The hooks
-    only return a stepsize: none of them writes one."""
+    """Every row, the first included, has theta_k = alpha_k/alpha_{k-1} and
+    alpha_k beta_k = R as beta_k = R/alpha_k, bitwise: the start and every
+    move derive beta and theta the same way. The hooks only return a
+    stepsize: none of them writes one."""
     prob = make_problem()
     start = every_policy(name, prob).initial_state(prob)
     policy = every_policy(name, prob)
@@ -1105,15 +1140,12 @@ def test_stepsize_identities_hold_exactly(name, make_problem):
         setattr(policy, hook, read_only(getattr(policy, hook)))
     trace = solve(prob, policy, SolveConfig(max_iters=300, tol=1e-300))
     assert trace.iterations == 300
+    assert (start.beta, start.theta) == (start.R / start.alpha, 1.0)
     prev = start.alpha
     for row in trace.rows:
         assert row.theta == row.alpha / prev
-        prev = row.alpha
-    first = FIRST_MOVED_ROW[name]
-    for row in trace.rows[:first]:
-        assert (row.alpha, row.beta, row.theta) == (start.alpha, start.beta, start.theta)
-    for row in trace.rows[first:] if first is not None else []:
         assert row.beta == start.R / row.alpha
+        prev = row.alpha
 
 
 def test_make_policy_dispatch():
