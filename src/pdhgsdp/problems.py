@@ -11,7 +11,6 @@ All generators are deterministic in their seed. The three families:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -130,12 +129,10 @@ def _sample_edges(rng: np.random.Generator, n: int, m_edges: int) -> list[tuple[
 
 def graph_laplacian(n: int, edges: Iterable[tuple[int, int]]) -> np.ndarray:
     """L = sum_{(i,j) in E} (e_i - e_j)(e_i - e_j)^T."""
+    i, j = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2).T
     lap = np.zeros((n, n))
-    for i, j in edges:
-        lap[i, i] += 1.0
-        lap[j, j] += 1.0
-        lap[i, j] -= 1.0
-        lap[j, i] -= 1.0
+    np.add.at(lap, (np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i])),
+              np.repeat([1.0, 1.0, -1.0, -1.0], i.size))
     return lap
 
 
@@ -166,19 +163,20 @@ def gen_maxcut(
     return SdpProblem(C=c, constraints=cmap, b=b, meta=meta)
 
 
-def _nearest_within(
-    points_from: np.ndarray, points_to: np.ndarray, radius: float, degree: int,
-    skip_self: bool,
-) -> list[list[int]]:
-    out = []
-    for idx in range(points_from.shape[0]):
-        d = np.linalg.norm(points_to - points_from[idx], axis=1)
-        if skip_self:
-            d[idx] = np.inf
-        candidates = np.where(d <= radius)[0]
-        order = candidates[np.argsort(d[candidates], kind="stable")]
-        out.append([int(t) for t in order[:degree]])
-    return out
+def _nearest(d: np.ndarray, radius: float, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of the at most ``degree`` nearest columns within
+    ``radius`` of each row of the distance matrix ``d``, rows in order and
+    each row's columns nearest first, ties by column."""
+    order = np.argsort(np.where(d <= radius, d, np.inf), axis=1, kind="stable")[:, :degree]
+    near = np.take_along_axis(d, order, axis=1) <= radius
+    rows = np.broadcast_to(np.arange(d.shape[0])[:, None], order.shape)
+    return rows[near], order[near]
+
+
+def _edge_lengths(diff: np.ndarray) -> np.ndarray:
+    # sqrt(x.dot(x)) per row, as np.linalg.norm computes one vector's norm; a
+    # vectorized row norm sums in another order and can differ in the last bit
+    return np.sqrt([x.dot(x) for x in diff])
 
 
 def gen_snl(
@@ -210,24 +208,23 @@ def gen_snl(
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
 
+    n = n_sensors
     for attempt in range(SNL_MAX_RETRIES):
         rng = np.random.default_rng((seed, attempt))
         anchors = rng.uniform(size=(m_anchors, p))
-        sensors = rng.uniform(size=(n_sensors, p))
+        sensors = rng.uniform(size=(n, p))
 
-        sensor_nbrs = _nearest_within(sensors, sensors, radius, degree, skip_self=True)
-        anchor_nbrs = _nearest_within(sensors, anchors, radius, degree, skip_self=False)
-
-        edges_xx = sorted(
-            {(min(i, j), max(i, j)) for i, nbrs in enumerate(sensor_nbrs) for j in nbrs}
-        )
-        edges_ax = sorted(
-            {(k, j) for j, nbrs in enumerate(anchor_nbrs) for k in nbrs}
-        )
-
-        incident = {i for i, j in edges_xx} | {j for i, j in edges_xx}
-        incident |= {j for _, j in edges_ax}
-        if len(incident) == n_sensors:
+        d_xx = np.linalg.norm(sensors[None, :, :] - sensors[:, None, :], axis=2)
+        np.fill_diagonal(d_xx, np.inf)
+        d_ax = np.linalg.norm(anchors[None, :, :] - sensors[:, None, :], axis=2)
+        # edge sets as adjacency masks, read back in row-major (sorted) order
+        rows, cols = _nearest(d_xx, radius, degree)
+        adj_xx = np.zeros((n, n), dtype=bool)
+        adj_xx[np.minimum(rows, cols), np.maximum(rows, cols)] = True
+        rows, cols = _nearest(d_ax, radius, degree)
+        adj_ax = np.zeros((m_anchors, n), dtype=bool)
+        adj_ax[cols, rows] = True
+        if np.all(adj_xx.any(axis=0) | adj_xx.any(axis=1) | adj_ax.any(axis=0)):
             break
     else:
         raise RuntimeError(
@@ -235,56 +232,48 @@ def gen_snl(
             f"(seed={seed}); increase radius or degree"
         )
 
-    dim = p + n_sensors
-    entries: list[tuple[int, int, int, float]] = []  # (constraint, i, j, value)
-    rhs: list[float] = []
-    xx_triples: list[tuple[int, int, float]] = []
-    ax_triples: list[tuple[int, int, float]] = []
-
-    # ||x_i - x_j||^2 = Y_ii + Y_jj - 2 Y_ij
-    for i, j in edges_xx:
-        d = float(np.linalg.norm(sensors[i] - sensors[j]))
-        xx_triples.append((i, j, d))
-        row = len(rhs)
-        entries += [(row, p + i, p + i, 1.0), (row, p + j, p + j, 1.0),
-                    (row, p + i, p + j, -1.0)]
-        rhs.append(d * d)
-
-    # ||a_k - x_j||^2 = v^T Z v for v = (a_k, -e_j)
-    for k, j in edges_ax:
-        d = float(np.linalg.norm(anchors[k] - sensors[j]))
-        ax_triples.append((k, j, d))
-        row = len(rhs)
-        a = anchors[k]
-        entries += [(row, s, t, float(a[s] * a[t])) for s in range(p) for t in range(s, p)]
-        entries += [(row, s, p + j, -float(a[s])) for s in range(p)]
-        entries.append((row, p + j, p + j, 1.0))
-        rhs.append(d * d)
-
-    # the top-left p-by-p block of Z is the identity
-    for s in range(p):
-        for t in range(s, p):
-            entries.append((len(rhs), s, t, 1.0 if s == t else 0.5))
-            rhs.append(1.0 if s == t else 0.0)
-
-    con, ent_i, ent_j, vals = zip(*entries)
-    cmap = ConstraintMap.from_triples(len(rhs), dim, con, ent_i, ent_j, vals)
+    xi, xj = np.nonzero(adj_xx)
+    ak, aj = np.nonzero(adj_ax)
+    dist_xx = _edge_lengths(sensors[xi] - sensors[xj])
+    dist_ax = _edge_lengths(anchors[ak] - sensors[aj])
+    n_xx, n_ax = xi.size, ak.size
+    su, tu = np.triu_indices(p)
+    rows_xx = np.arange(n_xx)[:, None]
+    rows_ax = n_xx + np.arange(n_ax)[:, None]
+    a, zj = anchors[ak], p + aj[:, None]
+    blocks = [  # (constraint, i, j, value), broadcast together
+        # ||x_i - x_j||^2 = Y_ii + Y_jj - 2 Y_ij
+        (rows_xx, p + np.c_[xi, xj, xi], p + np.c_[xi, xj, xj], [1.0, 1.0, -1.0]),
+        # ||a_k - x_j||^2 = v^T Z v for v = (a_k, -e_j)
+        (rows_ax, su, tu, a[:, su] * a[:, tu]),
+        (rows_ax, np.arange(p), zj, -a),
+        (rows_ax, zj, zj, 1.0),
+        # the top-left p-by-p block of Z is the identity
+        (n_xx + n_ax + np.arange(su.size), su, tu, np.where(su == tu, 1.0, 0.5)),
+    ]
+    con, ent_i, ent_j, vals = (
+        np.concatenate(parts)
+        for parts in zip(*([x.ravel() for x in np.broadcast_arrays(*blk)] for blk in blocks))
+    )
+    rhs = np.concatenate([dist_xx * dist_xx, dist_ax * dist_ax, np.where(su == tu, 1.0, 0.0)])
+    dim = p + n
+    cmap = ConstraintMap.from_triples(rhs.size, dim, con, ent_i, ent_j, vals)
     problem = SdpProblem(
         C=SymMat.zeros(dim),
         constraints=cmap,
-        b=np.asarray(rhs),
+        b=rhs,
         meta={
             "generator": "snl", "seed": seed, "p": p,
             "m_anchors": m_anchors, "n_sensors": n_sensors,
             "radius": radius, "degree": degree,
-            "n_xx": len(xx_triples), "n_ax": len(ax_triples),
+            "n_xx": n_xx, "n_ax": n_ax,
         },
     )
     truth = SnlGroundTruth(
         anchors=anchors,
         sensors=sensors,
-        edges_xx=tuple(xx_triples),
-        edges_ax=tuple(ax_triples),
+        edges_xx=tuple(zip(xi.tolist(), xj.tolist(), dist_xx.tolist())),
+        edges_ax=tuple(zip(ak.tolist(), aj.tolist(), dist_ax.tolist())),
     )
     return problem, truth
 
@@ -302,6 +291,8 @@ def gen_snl(
 # blanks, as SDPA does, so "{2}" and "{48, -8, 20}" read as "2" and "48 -8 20".
 
 _HEADER_BLANKS = str.maketrans("{}(),", "     ")
+_SDPA_ENTRY = np.dtype([("matno", np.int64), ("blkno", np.int64), ("i", np.int64),
+                        ("j", np.int64), ("value", float)])
 
 
 class SdpaFormatError(ValueError):
@@ -340,12 +331,59 @@ def write_instance(problem: SdpProblem, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _number(kind: type, text: str):
+    """``kind(text)`` for an ASCII token without "_", the numbers the
+    vectorized entry parse reads too; None for any other token."""
+    if text.isascii() and "_" not in text:
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return None
+
+
+def _parse_int(text: str, lineno: int, what: str) -> int:
+    value = _number(int, text)
+    if value is None:
+        raise SdpaFormatError(f"line {lineno}: expected integer {what}, got {text!r}")
+    return value
+
+
+def _raise_entry_error(raw: list[str], pos: int, m: int, n: int) -> None:
+    """Raise the error for the first malformed entry line at or after
+    ``raw[pos]``, checking each line's fields in order."""
+    for lineno, line in enumerate(raw[pos:], pos + 1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 5:
+            raise SdpaFormatError(f"line {lineno}: expected 5 fields, got {len(parts)}")
+        matno = _parse_int(parts[0], lineno, "matrix number")
+        blkno = _parse_int(parts[1], lineno, "block number")
+        i = _parse_int(parts[2], lineno, "row index")
+        j = _parse_int(parts[3], lineno, "column index")
+        value = _number(float, parts[4])
+        if value is None:
+            raise SdpaFormatError(f"line {lineno}: non-numeric value {parts[4]!r}")
+        if not 0 <= matno <= m:
+            raise SdpaFormatError(f"line {lineno}: matrix number {matno} outside [0, {m}]")
+        if blkno != 1:
+            raise SdpaFormatError(f"line {lineno}: block number must be 1, got {blkno}")
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise SdpaFormatError(f"line {lineno}: index ({i},{j}) outside block of size {n}")
+        if not math.isfinite(value):
+            what = "C" if matno == 0 else "a constraint matrix"
+            raise SdpaFormatError(f"line {lineno}: {what} has a non-finite entry")
+    raise SdpaFormatError("malformed entry section")
+
+
 def read_instance(path) -> SdpProblem:
     """Read a single-block SDPA sparse file, as :func:`write_instance` writes
     it or with SDPA's braces and commas on the header lines.
 
-    Accepts leading comment lines starting with '*' or '"'. Raises
-    :class:`SdpaFormatError` with a line number on malformed input.
+    Accepts leading comment lines starting with '*' or '"'. An entry given
+    twice keeps its last value, and a lower-triangle entry is mirrored.
+    Raises :class:`SdpaFormatError` with a line number on malformed input.
     """
     with open(path) as fh:
         raw = fh.read().splitlines()
@@ -374,12 +412,6 @@ def read_instance(path) -> SdpProblem:
                 return stripped, pos
         raise SdpaFormatError(f"unexpected end of file while reading {what}")
 
-    def parse_int(text: str, lineno: int, what: str) -> int:
-        try:
-            return int(text)
-        except ValueError:
-            raise SdpaFormatError(f"line {lineno}: expected integer {what}, got {text!r}")
-
     def header(what: str) -> tuple[list[str], int]:
         text, lineno = next_line(what)
         fields = text.translate(_HEADER_BLANKS).split()
@@ -388,17 +420,17 @@ def read_instance(path) -> SdpProblem:
         return fields, lineno
 
     fields, lineno = header("constraint count")
-    m = parse_int(fields[0], lineno, "constraint count")
+    m = _parse_int(fields[0], lineno, "constraint count")
     if m < 1:
         raise SdpaFormatError(f"line {lineno}: constraint count must be >= 1, got {m}")
 
     fields, lineno = header("block count")
-    nblocks = parse_int(fields[0], lineno, "block count")
+    nblocks = _parse_int(fields[0], lineno, "block count")
     if nblocks != 1:
         raise SdpaFormatError(f"line {lineno}: only single-block files supported, got {nblocks}")
 
     fields, lineno = header("block size")
-    n = parse_int(fields[0], lineno, "block size")
+    n = _parse_int(fields[0], lineno, "block size")
     if n < 1:
         raise SdpaFormatError(f"line {lineno}: block size must be >= 1, got {n}")
 
@@ -414,47 +446,32 @@ def read_instance(path) -> SdpProblem:
     if not np.all(np.isfinite(b)):
         raise SdpaFormatError(f"line {lineno}: b has a non-finite entry")
 
-    # (matno, i, j) -> value, 0-based in the upper triangle; an entry given
-    # twice keeps its last value
-    entries: dict[tuple[int, int, int], float] = {}
-    while pos < len(raw):
-        stripped = raw[pos].strip()
-        pos += 1
-        if not stripped:
-            continue
-        lineno = pos
-        parts = stripped.split()
-        if len(parts) != 5:
-            raise SdpaFormatError(f"line {lineno}: expected 5 fields, got {len(parts)}")
-        matno = parse_int(parts[0], lineno, "matrix number")
-        blkno = parse_int(parts[1], lineno, "block number")
-        i = parse_int(parts[2], lineno, "row index")
-        j = parse_int(parts[3], lineno, "column index")
+    # one pass over every entry line; on any fault, a rescan names the line
+    body = raw[pos:]
+    entries = np.zeros(0, _SDPA_ENTRY)
+    if any(map(str.strip, body)):  # loadtxt warns on a body with no entry
         try:
-            value = float(parts[4])
+            entries = np.loadtxt(body, dtype=_SDPA_ENTRY, comments=None, ndmin=1)
         except ValueError:
-            raise SdpaFormatError(f"line {lineno}: non-numeric value {parts[4]!r}")
-        if not 0 <= matno <= m:
-            raise SdpaFormatError(f"line {lineno}: matrix number {matno} outside [0, {m}]")
-        if blkno != 1:
-            raise SdpaFormatError(f"line {lineno}: block number must be 1, got {blkno}")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise SdpaFormatError(f"line {lineno}: index ({i},{j}) outside block of size {n}")
-        if not math.isfinite(value):
-            what = "C" if matno == 0 else "a constraint matrix"
-            raise SdpaFormatError(f"line {lineno}: {what} has a non-finite entry")
-        if i > j:
-            i, j = j, i
-        entries[(matno, i - 1, j - 1)] = value
+            _raise_entry_error(raw, pos, m, n)
+    matno, i, j, vals = (entries[f] for f in ("matno", "i", "j", "value"))
+    if not (np.all((matno >= 0) & (matno <= m) & (entries["blkno"] == 1)
+                   & (i >= 1) & (i <= n) & (j >= 1) & (j <= n))
+            and np.all(np.isfinite(vals))):
+        _raise_entry_error(raw, pos, m, n)
 
-    keys = np.fromiter(itertools.chain.from_iterable(entries), np.int64, 3 * len(entries))
-    matno, i, j = keys.reshape(-1, 3).T
-    vals = np.fromiter(entries.values(), float, len(entries))
-    is_c = matno == 0
-    ci, cj, cv = i[is_c], j[is_c], vals[is_c]
+    # allocated first, so a block size too large for an int64 slot key fails here
     c = np.zeros((n, n))
+    # 0-based upper triangle; of entries naming the same slot the last one wins
+    lo, hi = np.minimum(i, j) - 1, np.maximum(i, j) - 1
+    key = (matno * n + lo) * n + hi
+    _, first_from_end = np.unique(key[::-1], return_index=True)
+    last = key.size - 1 - first_from_end
+    matno, lo, hi, vals = matno[last], lo[last], hi[last], vals[last]
+    is_c = matno == 0
+    ci, cj, cv = lo[is_c], hi[is_c], vals[is_c]
     c[ci, cj] = cv
     c[cj, ci] = cv
-    cmap = ConstraintMap.from_triples(m, n, matno[~is_c] - 1, i[~is_c], j[~is_c],
+    cmap = ConstraintMap.from_triples(m, n, matno[~is_c] - 1, lo[~is_c], hi[~is_c],
                                       vals[~is_c])
     return SdpProblem(C=SymMat(c), constraints=cmap, b=b, meta=meta)
