@@ -55,5 +55,8 @@ class SymMat:
 
 
 def frobenius_inner_dense(a: np.ndarray, b: np.ndarray) -> float:
-    """<A, B> = sum_ij A_ij B_ij."""
-    return float(np.einsum("ij,ij->", a, b))
+    """<A, B> = sum_ij A_ij B_ij, for two arrays of one shape: matrices, or
+    packed vectors that hold every entry where either matrix is nonzero."""
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))

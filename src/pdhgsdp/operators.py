@@ -4,7 +4,9 @@ bound lambda_max(A^T A), and the lifting operator T with T T^T = (1/R) I - AA^T.
 A map is stored once, in the form its own density calls for: a sparse map
 keeps COO triples over the row-major vec(X), so A(X) is a gather and A^T(y) a
 scatter of its nonzeros; a dense map keeps the (m, n^2) matrix and applies it
-as a matrix-vector product.
+as a matrix-vector product. :meth:`ConstraintMap.packed` re-indexes either
+form onto a packed vector that holds only some entries of X, as the solver
+keeps its iterate.
 """
 
 from __future__ import annotations
@@ -105,6 +107,28 @@ class ConstraintMap:
         stored = self.dense if self.coo is None else self.coo[2]
         return float(np.sqrt(np.vdot(stored, stored) / self.m))
 
+    def packed(self, index: np.ndarray, extra=()) -> "PackedMap":
+        """This map over packed vectors x with x[p] = vec(X)[index[p]], for
+        an ``index`` that covers every stored nonzero. A^T is formed only on
+        the packed positions where it or an entry of ``extra`` can be
+        nonzero; for a dense map that is everywhere."""
+        if self.coo is None:
+            same = np.array_equal(index, np.arange(self.n * self.n))
+            return PackedMap(self.m, self.dense if same else self.dense[:, index],
+                             None, slice(None))
+        rows, cols, vals = self.coo
+        where = np.full(self.n * self.n, -1, dtype=np.intp)
+        where[index] = np.arange(index.size)
+        pos = where[cols]
+        if pos.size and pos.min() < 0:
+            raise ValueError("the packed layout leaves out a nonzero of the map")
+        on_support = np.zeros(index.size, dtype=bool)
+        on_support[pos] = True
+        on_support[np.asarray(extra, dtype=np.intp)] = True
+        support = np.flatnonzero(on_support)
+        slot = np.cumsum(on_support) - 1  # each position's place in the support
+        return PackedMap(self.m, None, (rows, pos, slot[pos], vals), support)
+
     def upper_triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(con, i, j, vals) of every nonzero with i <= j, sorted by
         constraint and then row-major."""
@@ -118,6 +142,21 @@ class ConstraintMap:
         i, j = np.divmod(cols, n)
         keep = i <= j
         return rows[keep], i[keep], j[keep], vals[keep]
+
+
+@dataclass(frozen=True)
+class PackedMap:
+    """A constraint map re-indexed onto packed vectors (see
+    :meth:`ConstraintMap.packed`). ``support`` lists, ascending, the packed
+    positions where A^T(y) is formed; a slice over everything for a dense
+    map. ``dense`` is the (m, len(index)) matrix of a dense map; ``coo`` holds
+    a sparse map's (rows, packed positions, slots in ``support``, vals), in
+    the order of the map's own triples. The other one is None."""
+
+    m: int
+    dense: np.ndarray | None
+    coo: tuple | None
+    support: np.ndarray | slice
 
 
 def _stored_dense(nnz: int, m: int, n: int) -> bool:
@@ -152,6 +191,23 @@ def adjoint(cmap: ConstraintMap, y: np.ndarray) -> np.ndarray:
         return (y @ cmap.dense).reshape(n, n)
     rows, cols, vals = cmap.coo
     return np.bincount(cols, weights=vals * y[rows], minlength=n * n).reshape(n, n)
+
+
+def forward_packed(pmap: PackedMap, x: np.ndarray) -> np.ndarray:
+    """A(X) for X as a packed vector."""
+    if pmap.coo is None:
+        return pmap.dense @ x
+    rows, pos, _, vals = pmap.coo
+    return np.bincount(rows, weights=vals * x[pos], minlength=pmap.m)
+
+
+def adjoint_packed(pmap: PackedMap, y: np.ndarray) -> np.ndarray:
+    """A^T(y) at the packed positions ``pmap.support``. Each entry sums its
+    terms in the order :func:`adjoint` does, so the values are its values."""
+    if pmap.coo is None:
+        return y @ pmap.dense
+    rows, _, slots, vals = pmap.coo
+    return np.bincount(slots, weights=vals * y[rows], minlength=pmap.support.size)
 
 
 def apply_A(cmap: ConstraintMap, x: SymMat) -> np.ndarray:

@@ -429,10 +429,10 @@ def read_instance(path) -> SdpProblem:
     if nblocks != 1:
         raise SdpaFormatError(f"line {lineno}: only single-block files supported, got {nblocks}")
 
-    fields, lineno = header("block size")
-    n = _parse_int(fields[0], lineno, "block size")
+    fields, size_line = header("block size")
+    n = _parse_int(fields[0], size_line, "block size")
     if n < 1:
-        raise SdpaFormatError(f"line {lineno}: block size must be >= 1, got {n}")
+        raise SdpaFormatError(f"line {size_line}: block size must be >= 1, got {n}")
 
     fields, lineno = header("right-hand side")
     if len(fields) != m:
@@ -461,7 +461,11 @@ def read_instance(path) -> SdpProblem:
         _raise_entry_error(raw, pos, m, n)
 
     # allocated first, so a block size too large for an int64 slot key fails here
-    c = np.zeros((n, n))
+    try:
+        c = np.zeros((n, n))
+    except (MemoryError, ValueError) as exc:  # too large to allocate or to index
+        raise SdpaFormatError(
+            f"line {size_line}: block size {n} is too large ({exc})") from None
     # 0-based upper triangle; of entries naming the same slot the last one wins
     lo, hi = np.minimum(i, j) - 1, np.maximum(i, j) - 1
     key = (matno * n + lo) * n + hi

@@ -6,6 +6,10 @@ is reached through the LAPACK that numpy itself links (scipy-openblas in the
 numpy wheels), so no further dependency is loaded. Where numpy's build does
 not export it (MKL, conda or Windows builds), the projection clips a full
 ``np.linalg.eigh``; that path is also the reference the tests compare against.
+
+``proj_psd_packed`` projects a matrix held as its diagonal blocks, the
+solver's iterate, in place: ``dsyevx`` runs on each block's slice of the
+vector itself, and runs of equal small blocks share one batched ``eigh``.
 """
 
 from __future__ import annotations
@@ -50,13 +54,24 @@ def _load_dsyevx():
 
 _DSYEVX = _load_dsyevx()
 
+# A run of two or more equal blocks below this size is projected by one
+# batched np.linalg.eigh; every other block by dsyevx. Measured on the
+# projection inputs of bpdr solves of max-cut graphs made of 1-8 equal
+# components (2-core Xeon, BLAS on one thread): for runs of 2, 4 and 8
+# blocks the batched call is faster below k = 8, 10 and 11 (2-4x at k = 2),
+# and for a single block dsyevx is faster at every size (1.2x at k = 2,
+# 1.8x at k = 16).
+_BATCH_BELOW = 10
+
 
 class _Workspace:
-    """dsyevx's buffers and argument list for one dimension n. The argument
-    list holds raw addresses, so the buffers must live as long as it does."""
+    """dsyevx's buffers and arguments for one dimension n, except the address
+    of the matrix, which each call passes. The arguments hold raw addresses,
+    so the buffers must live as long as they do."""
 
-    # dimensions kept per thread, the most recently used; the benchmark's
-    # block-split max-cut solves project at most three distinct sizes each
+    # dimensions kept per thread, the most recently used; dsyevx sees only
+    # whole matrices and blocks of at least _BATCH_BELOW indices, so a solve
+    # uses few sizes
     PER_THREAD = 8
 
     def __init__(self, n: int):
@@ -75,10 +90,11 @@ class _Workspace:
         ifail = np.empty(n, dtype=np.int64)
         self._keep = (ints, reals, chars, work, iwork, ifail)
         i, r, c = ints.ctypes.data, reals.ctypes.data, chars.ctypes.data
-        self.args = (c, c + 1, c + 2, i, self.a.ctypes.data, i + 8, r, r + 8,
-                     i + 16, i + 24, r + 16, self.m.ctypes.data, self.w.ctypes.data,
-                     self.z.ctypes.data, i + 32, work.ctypes.data, i + 40,
-                     iwork.ctypes.data, ifail.ctypes.data, self.info.ctypes.data,
+        # the arguments before and after the matrix's address
+        self.head = (c, c + 1, c + 2, i)
+        self.tail = (i + 8, r, r + 8, i + 16, i + 24, r + 16, self.m.ctypes.data,
+                     self.w.ctypes.data, self.z.ctypes.data, i + 32, work.ctypes.data,
+                     i + 40, iwork.ctypes.data, ifail.ctypes.data, self.info.ctypes.data,
                      1, 1, 1)
 
 
@@ -116,18 +132,63 @@ def proj_psd_dense(mat: np.ndarray) -> np.ndarray:
     if not np.isfinite(mat).all():
         raise np.linalg.LinAlgError("matrix has non-finite entries")
     if _DSYEVX is None:
-        vals, vecs = np.linalg.eigh(mat)
-        clipped = np.maximum(vals, 0.0)
-        out = (vecs * clipped) @ vecs.T
-        return 0.5 * (out + out.T)
+        return _proj_psd_eigh(mat.T[np.newaxis])[0]  # the upper triangle of mat.T
     ws = _workspace(mat.shape[0])
     ws.a[...] = mat  # dsyevx overwrites its input
-    _DSYEVX(*ws.args)
+    v = _positive_factor(ws, ws.a)
+    return v @ v.T  # one SYRK, so the output is exactly symmetric
+
+
+def proj_psd_packed(x: np.ndarray, groups) -> None:
+    """Project, in place, a symmetric matrix held as its diagonal blocks.
+
+    ``x`` holds runs of equal blocks, each block its full square row-major,
+    one run per ``(k, count)`` pair of ``groups``, and then the diagonal
+    entries of the isolated indices. Those entries are clipped at zero. A
+    block is read from its upper triangle, the lower one in the column-major
+    order LAPACK reads.
+
+    Each run of two or more equal blocks smaller than _BATCH_BELOW goes
+    through one batched eigendecomposition; every other block goes through
+    dsyevx in place, so a matrix that is one block is projected as
+    ``proj_psd_dense`` projects it, bit for bit. Raises
+    ``np.linalg.LinAlgError`` on a non-finite entry or an eigensolver
+    failure.
+    """
+    if x.dtype != np.float64 or x.ndim != 1 or not x.flags.c_contiguous:
+        raise ValueError("expected a contiguous 1-D float64 array")
+    if not np.isfinite(x).all():
+        raise np.linalg.LinAlgError("matrix has non-finite entries")
+    start = 0
+    for k, count in groups:
+        stop = start + count * k * k
+        stack = x[start:stop].reshape(count, k, k)
+        if _DSYEVX is None or (count > 1 and k < _BATCH_BELOW):
+            stack[...] = _proj_psd_eigh(stack)
+        else:
+            for block in stack:
+                v = _positive_factor(_workspace(k), block)
+                np.matmul(v, v.T, out=block)
+        start = stop
+    np.maximum(x[start:], 0.0, out=x[start:])
+
+
+def _positive_factor(ws: _Workspace, a: np.ndarray) -> np.ndarray:
+    """V with V V^T the PSD projection of the matrix in the buffer ``a``,
+    which dsyevx reads in column-major order and overwrites."""
+    _DSYEVX(*ws.head, a.ctypes.data, *ws.tail)
     if ws.info[0] != 0:
         raise np.linalg.LinAlgError(f"dsyevx failed with INFO={ws.info[0]}")
     k = int(ws.m[0])
-    v = ws.z[:, :k] * np.sqrt(ws.w[:k])
-    return v @ v.T  # one SYRK, so the output is exactly symmetric
+    return ws.z[:, :k] * np.sqrt(ws.w[:k])
+
+
+def _proj_psd_eigh(stack: np.ndarray) -> np.ndarray:
+    """PSD projections of a stack of symmetric matrices, each read from its
+    upper triangle, by full eigendecompositions; exactly symmetric."""
+    vals, vecs = np.linalg.eigh(stack, UPLO="U")
+    out = (vecs * np.maximum(vals, 0.0)[:, np.newaxis, :]) @ vecs.transpose(0, 2, 1)
+    return 0.5 * (out + out.transpose(0, 2, 1))
 
 
 def approx_proj_psd(m: SymMat, r: int) -> SymMat:

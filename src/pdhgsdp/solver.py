@@ -23,12 +23,20 @@ products from :class:`IterateState` and never apply an operator themselves;
 the linesearch is the one exception, with two A^T applications per iteration
 that serve all of its backtracking trials.
 
-The projection splits by the aggregate sparsity pattern: the off-diagonal
-nonzeros of C, of every A_i and of X_0 join their indices into blocks, found
-once per solve. Every iterate stays zero off the blocks, so projecting each
-block on its own is the exact projection: one ``proj_psd_dense`` call per
-block of two or more indices, and max(M_ii, 0) for the isolated ones. A
-problem that is one block is projected whole.
+The engine iterates on the blocks of the aggregate sparsity pattern: the
+off-diagonal nonzeros of C, of every A_i and of X_0 join their indices into
+blocks, found once per solve. Every iterate stays zero off the blocks, so X
+is kept as one packed vector of its blocks (:class:`_Layout`; a problem that
+is one block is packed as X.ravel()), and projecting each block on its own
+(``proj_psd_packed``) is the exact projection. A^T(y) and C are kept only on
+the support, the packed positions where either can be nonzero (everything
+for a dense map). Off the support the primal step and the primal residual
+subtract exact zeros, so both are the dense formulas bit for bit.
+
+Hooks see packed vectors: X^k, X^{k+1} and the primal residual. The map's
+adjoint onto packed vectors is ``IterateState.adjoint``, and ``it.Aty`` is
+formed only when a hook reads it. ``RunTrace.X_final``, the callback's
+argument and the partial trace of :class:`SolveError` are n-by-n.
 """
 
 from __future__ import annotations
@@ -38,14 +46,15 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .linalg import SymMat, frobenius_inner_dense
-from .operators import adjoint, forward, lambda_max_AAt
+from .operators import adjoint, adjoint_packed, forward, forward_packed, lambda_max_AAt
 from .problems import SdpProblem
-from .projections import proj_psd_dense
+from .projections import proj_psd_packed
 
 DEFAULT_TOL = 1e-6
 
@@ -95,15 +104,22 @@ class StepsizeState:
 
 @dataclass
 class IterateState:
-    """Engine iterates entering iteration k with their cached map products:
-    X_cur = X^k, y = y^k, AX = A(X^k), Aty = A^T(y^k). Matrices are dense and
-    symmetric by construction."""
+    """Engine iterates entering iteration k, with their cached map products:
+    X_cur = X^k, y = y^k and AX = A(X^k). Matrices are packed vectors in the
+    engine's layout (see the module docstring). ``adjoint`` maps an m-vector
+    v to A^T(v), packed; ``Aty`` = A^T(y^k), packed, is formed by ``form_aty``
+    when a hook reads it."""
 
     X_cur: np.ndarray
     y: np.ndarray
     AX: np.ndarray
-    Aty: np.ndarray
     k: int
+    adjoint: Callable[[np.ndarray], np.ndarray]
+    form_aty: Callable[[], np.ndarray]
+
+    @property
+    def Aty(self) -> np.ndarray:
+        return self.form_aty()
 
 
 @dataclass(frozen=True)
@@ -182,11 +198,13 @@ class SolveConfig:
 # --- residuals and stopping -------------------------------------------------
 
 
-def _residual_report(dx, dy, at_dy, a_dx, alpha: float, beta: float):
-    """Report on the primal residual matrix dx/alpha - A^T(dy) and the dual
-    residual vector dy/beta - A(dx), for dx = X^k - X^{k+1} and
-    dy = y^k - y^{k+1}; also returns the primal residual matrix."""
-    p_mat = dx / alpha - at_dy
+def _residual_report(dx, dy, at_dy, a_dx, alpha: float, beta: float, support=slice(None)):
+    """Report on the primal residual dx/alpha - A^T(dy) and the dual residual
+    vector dy/beta - A(dx), for dx = X^k - X^{k+1} and dy = y^k - y^{k+1},
+    with A^T(dy) given at the positions ``support`` of dx, and zero off them;
+    also returns the primal residual."""
+    p_mat = dx / alpha
+    p_mat[support] -= at_dy
     p = float(np.linalg.norm(p_mat))
     d = float(np.linalg.norm(dy / beta - a_dx))
     return ResidualReport(p_norm=p, d_norm=d, combined=p * p + d * d), p_mat
@@ -250,13 +268,14 @@ class StepsizePolicy:
     def dual_update(self, problem, it: IterateState, x_new, ax_new,
                     ss: StepsizeState) -> tuple[np.ndarray, np.ndarray] | None:
         """Take over the dual step given X^{k+1} and A(X^{k+1}): return
-        (y^{k+1}, A^T(y^{k+1})), or None to leave it to the engine."""
+        (y^{k+1}, A^T(y^{k+1}) packed), or None to leave it to the engine."""
         return None
 
     def adjust_post(self, problem, it: IterateState, x_new, p_mat,
                     report: ResidualReport, ss: StepsizeState) -> float | None:
         """Return the next iteration's stepsize, or None, once the residuals
-        are known; ``p_mat`` is the primal residual matrix of this iteration."""
+        are known; ``p_mat`` is the primal residual of this iteration, packed
+        as ``x_new`` is."""
         return None
 
 
@@ -390,8 +409,8 @@ class LinesearchPolicy(StepsizePolicy):
     def dual_update(self, problem, it, x_new, ax_new, ss):
         u = ax_new - problem.b
         v = ax_new - it.AX
-        at_u = adjoint(problem.constraints, u)
-        at_v = adjoint(problem.constraints, v)
+        at_u = it.adjoint(u)
+        at_v = it.adjoint(v)
         alpha_prev = ss.alpha
         a = alpha_prev * math.sqrt(1.0 + ss.theta)
         sqrt_s = math.sqrt(self.s)
@@ -538,30 +557,52 @@ def _aggregate_blocks(problem: SdpProblem, x0: np.ndarray) -> list[np.ndarray]:
     return np.split(order, starts)
 
 
-def _block_projection(blocks: list[np.ndarray], n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The PSD projection of n-by-n matrices that are zero off ``blocks``,
-    which partition range(n): each block of two or more indices through
-    ``proj_psd_dense``, and the diagonal entries of the isolated indices
-    clipped at zero. Each call looks ``proj_psd_dense`` up in this module, so
-    a wrapper set there sees every block projection."""
-    if len(blocks) == 1:
-        return lambda mat: proj_psd_dense(mat)
-    # flat indices into an n-by-n array gather and scatter faster than np.ix_
-    squares = [np.add.outer(b * n, b) for b in blocks if b.size > 1]
-    diagonal = np.array([b[0] * (n + 1) for b in blocks if b.size == 1], dtype=np.intp)
+class _Layout:
+    """Where a packed vector keeps a symmetric n-by-n matrix that is zero off
+    ``blocks``, which partition range(n). Each block of two or more indices
+    is stored as its full square, row-major, the largest blocks first and
+    blocks of equal size next to each other; the diagonal entries of the
+    isolated indices come last. A matrix that is one block is stored as its
+    ravel. Entry p holds the row-major flat entry ``index[p]``, and
+    ``groups`` lists the (size, count) of each run of equal blocks."""
 
-    def project(mat: np.ndarray) -> np.ndarray:
-        # no block reads the entries off the blocks, so check them here
-        if not np.isfinite(mat).all():
-            raise np.linalg.LinAlgError("matrix has non-finite entries")
-        out = np.zeros((n, n))
-        flat = out.ravel()  # a view, since out is C-contiguous
-        for square in squares:
-            flat[square] = proj_psd_dense(mat.take(square))
-        flat[diagonal] = np.maximum(mat.take(diagonal), 0.0)
-        return out
+    def __init__(self, blocks: list[np.ndarray], n: int):
+        self.n = n
+        self.whole = len(blocks) == 1
+        if self.whole:
+            squares, lone = blocks, np.zeros(0, dtype=np.intp)
+        else:
+            # sorted is stable, so blocks of equal size keep their order
+            squares = sorted((b for b in blocks if b.size > 1), key=len, reverse=True)
+            lone = np.array([b[0] for b in blocks if b.size == 1], dtype=np.intp)
+        self.index = np.concatenate([np.add.outer(b * n, b).ravel() for b in squares]
+                                    + [lone * (n + 1)])
+        sizes = [b.size for b in squares]
+        self.groups = [(k, sizes.count(k)) for k in dict.fromkeys(sizes)]
 
-    return project
+    def pack(self, mat: np.ndarray) -> np.ndarray:
+        return mat.ravel()[self.index]
+
+    def unpack(self, x: np.ndarray) -> np.ndarray:
+        """The n-by-n matrix of a packed vector: a view of it for a matrix
+        that is one block, else a new array."""
+        n = self.n
+        if self.whole:
+            return x.reshape(n, n)
+        out = np.zeros(n * n)
+        out[self.index] = x
+        return out.reshape(n, n)
+
+
+def _spread(values: np.ndarray, support, size: int) -> np.ndarray:
+    """The packed vector of ``size`` entries that holds ``values`` at the
+    positions ``support`` and zeros elsewhere: ``values`` itself where the
+    support is everything."""
+    if isinstance(support, slice):
+        return values
+    out = np.zeros(size)
+    out[support] = values
+    return out
 
 
 def solve(problem: SdpProblem, policy: StepsizePolicy,
@@ -573,11 +614,18 @@ def solve(problem: SdpProblem, policy: StepsizePolicy,
     projection, a non-finite iterate) raises :class:`SolveError` carrying the
     trace accumulated so far.
     """
-    cmap, b = problem.constraints, problem.b
-    c_dense = problem.C.dense
-    x_cur, y = _dense_initial(problem, config)
-    ax, aty = forward(cmap, x_cur), adjoint(cmap, y)
-    project = _block_projection(_aggregate_blocks(problem, x_cur), problem.n)
+    b = problem.b
+    x0, y = _dense_initial(problem, config)
+    layout = _Layout(_aggregate_blocks(problem, x0), problem.n)
+    c_packed = layout.pack(problem.C.dense)
+    pmap = problem.constraints.packed(layout.index, np.flatnonzero(c_packed))
+    support, size = pmap.support, layout.index.size
+    c = c_packed[support]  # C off the support is zero
+    x_cur = layout.pack(x0)
+    ax, aty = forward_packed(pmap, x_cur), adjoint_packed(pmap, y)
+
+    def packed_adjoint(v):
+        return _spread(adjoint_packed(pmap, v), support, size)
 
     ss = policy.initial_state(problem)
     rows: list[TraceRow] = []
@@ -587,21 +635,25 @@ def solve(problem: SdpProblem, policy: StepsizePolicy,
         tic = time.perf_counter()
         try:
             alpha_x = ss.alpha
-            x_new = project(x_cur - alpha_x * (aty + c_dense))
-            ax_new = forward(cmap, x_new)
-            it = IterateState(X_cur=x_cur, y=y, AX=ax, Aty=aty, k=k)
+            # X - alpha (A^T(y) + C), where A^T(y) + C is zero off the support
+            x_new = x_cur.copy()
+            x_new[support] -= alpha_x * (aty + c)
+            proj_psd_packed(x_new, layout.groups)
+            ax_new = forward_packed(pmap, x_new)
+            it = IterateState(x_cur, y, ax, k, packed_adjoint,
+                              partial(_spread, aty, support, size))
             dual = policy.dual_update(problem, it, x_new, ax_new, ss)
             if dual is None:
                 ss.move_to(policy.adjust_mid(problem, it, x_new, ss))
                 theta = ss.theta
                 y_new = y + ss.beta * ((1.0 + theta) * ax_new - theta * ax - b)
-                aty_new = adjoint(cmap, y_new)
+                aty_new = adjoint_packed(pmap, y_new)
             else:
-                y_new, aty_new = dual
+                y_new, aty_new = dual[0], dual[1][support]
 
             report, p_mat = _residual_report(x_cur - x_new, y - y_new, aty - aty_new,
-                                             ax - ax_new, alpha_x, ss.beta)
-            objective = frobenius_inner_dense(c_dense, x_new)
+                                             ax - ax_new, alpha_x, ss.beta, support)
+            objective = frobenius_inner_dense(c, x_new[support])
             wall_ms = (time.perf_counter() - tic) * 1e3
             rows.append(TraceRow(k, report.p_norm, report.d_norm, report.combined,
                                  objective, ss.alpha, ss.beta, ss.theta, wall_ms))
@@ -610,18 +662,19 @@ def solve(problem: SdpProblem, policy: StepsizePolicy,
             if not converged:
                 ss.move_to(policy.adjust_post(problem, it, x_new, p_mat, report, ss))
         except Exception as exc:  # surface any failure with the partial trace
-            trace = RunTrace(rows, "error", SymMat(x_cur), y.copy(),
+            trace = RunTrace(rows, "error", SymMat(layout.unpack(x_cur)), y.copy(),
                              flags=dict(ss.counts))
             raise SolveError(str(exc), trace) from exc
 
         x_cur, y, ax, aty = x_new, y_new, ax_new, aty_new
         if config.callback is not None:
-            config.callback(k, x_new, y_new)
+            config.callback(k, layout.unpack(x_new), y_new)
         if converged:
             status = "converged"
             break
 
-    return RunTrace(rows, status, SymMat(x_cur), y.copy(), flags=dict(ss.counts))
+    return RunTrace(rows, status, SymMat(layout.unpack(x_cur)), y.copy(),
+                    flags=dict(ss.counts))
 
 
 POLICIES = {cls.name: cls for cls in (FixedPolicy, BalancedResidualPolicy,

@@ -119,10 +119,10 @@ class TestRunBench:
 
     def test_run_errors_recorded_not_fatal(self, monkeypatch):
         # a projection that fails in every solve must not kill the sweep
-        def failing_projection(x):
+        def failing_projection(x, groups):
             raise np.linalg.LinAlgError("eigensolver did not converge")
 
-        monkeypatch.setattr(solver_mod, "proj_psd_dense", failing_projection)
+        monkeypatch.setattr(solver_mod, "proj_psd_packed", failing_projection)
         result = run_bench(tiny_config())
         assert len(result.records) == 4
         assert all(rec.error is not None for rec in result.records)

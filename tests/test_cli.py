@@ -45,6 +45,16 @@ class TestSolveCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("size", [1000000, 99999999999999999999], ids=["1e6", "1e20"])
+    def test_block_size_too_large_exit_one(self, tmp_path, capsys, size):
+        # a dense C of this size cannot be allocated; the block size is on line 4
+        path = tmp_path / "big.dat-s"
+        path.write_text(f'"two entries\n1\n1\n{size}\n1.0\n0 1 1 1 1.0\n1 1 1 1 1.0\n')
+        code = run_cli("solve", "--problem", f"file:{path}", "--policy", "bpdr",
+                       "--out", str(tmp_path / "t.csv"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: line 4: block size {size} is too large")
+
     def test_unknown_flag_exit_one(self, tmp_path, capsys):
         code = run_cli("solve", "--problem", "mc", "--policy", "tf",
                        "--bogus-flag", "1")

@@ -512,6 +512,16 @@ class TestReaderAgainstLineLoop:
             read_instance(path)
 
 
+# block sizes whose dense C cannot be allocated
+OVERSIZED_BLOCKS = (1000000, 99999999999999999999)
+
+
+def two_entry_file(block_size):
+    """An SDPA file with a comment line, so the block size is on line 4, and
+    two entries."""
+    return f'"two entries\n1\n1\n{block_size}\n1.0\n0 1 1 1 1.0\n1 1 1 1 1.0\n'
+
+
 class TestSdpaRoundTrip:
     @pytest.mark.parametrize("case", sorted(WRITER_CASES))
     def test_writer_matches_entrywise_loop(self, case, tmp_path):
@@ -621,6 +631,14 @@ class TestSdpaRoundTrip:
         path = tmp_path / "bad.dat-s"
         path.write_text(body)
         with pytest.raises(SdpaFormatError, match=f"^{message} has a non-finite entry$"):
+            read_instance(path)
+
+    @pytest.mark.parametrize("size", OVERSIZED_BLOCKS, ids=["1e6", "1e20"])
+    def test_block_size_too_large_names_its_line(self, tmp_path, size):
+        # C could not be allocated: 7.28 TiB, or beyond numpy's dimension limit
+        path = tmp_path / "big.dat-s"
+        path.write_text(two_entry_file(size))
+        with pytest.raises(SdpaFormatError, match=f"^line 4: block size {size} is too large"):
             read_instance(path)
 
     def test_error_carries_line_number(self, tmp_path):

@@ -9,7 +9,7 @@ import pdhgsdp.solver as solver_module
 from pdhgsdp.linalg import SymMat
 from pdhgsdp.operators import ConstraintMap
 from pdhgsdp.problems import SdpProblem, graph_laplacian
-from pdhgsdp.projections import approx_proj_psd, proj_psd, proj_psd_dense
+from pdhgsdp.projections import approx_proj_psd, proj_psd, proj_psd_dense, proj_psd_packed
 from pdhgsdp.solver import SolveConfig, TuningFreePolicy, solve
 
 
@@ -155,6 +155,14 @@ class TestProjPsdDense:
         proj_psd_dense(mat)
         np.testing.assert_array_equal(mat, before)
 
+    def test_column_major_input_left_unchanged(self, solver_path):
+        # dsyevx reads a column-major buffer in place: this one must be copied
+        mat = np.asfortranarray(spectrum_case("random"))
+        before = mat.copy()
+        out = proj_psd_dense(mat)
+        np.testing.assert_array_equal(mat, before)
+        assert np.linalg.norm(out - clipping_oracle(before)) <= 1e-12 * np.linalg.norm(before)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_pair_raises(self, bad, solver_path):
         mat = np.eye(4)
@@ -181,11 +189,35 @@ BLOCK_SIZES = {
     "isolated-only": [1] * 6,
     "one-block-and-isolated": [7, 1, 1],
     "whole": [9],
+    # big blocks, alone and in a run, next to runs of small ones
+    "big-and-small-runs": [14, 12, 12, 4, 4, 4, 3, 2, 1, 1],
 }
 
 
+def block_matrix(rng, blocks):
+    """A random symmetric matrix that is zero off ``blocks``, and the mask of
+    the entries on them."""
+    n = sum(b.size for b in blocks)
+    mat = np.zeros((n, n))
+    on_blocks = np.zeros((n, n), dtype=bool)
+    for b in blocks:
+        ix = np.ix_(b, b)
+        mat[ix] = random_sym(rng, b.size).to_dense()
+        on_blocks[ix] = True
+    return mat, on_blocks
+
+
+def packed_projection(blocks, mat):
+    """The engine's projection of a matrix that is zero off ``blocks``: pack
+    it, project the packed vector in place, unpack."""
+    layout = solver_module._Layout(blocks, mat.shape[0])
+    x = layout.pack(mat)
+    proj_psd_packed(x, layout.groups)
+    return layout.unpack(x)
+
+
 class TestBlockProjection:
-    """The engine's split projection of a matrix that is zero off its blocks
+    """The engine's packed projection of a matrix that is zero off its blocks
     equals the projection of the whole matrix."""
 
     @pytest.mark.parametrize("seed", range(3))
@@ -193,17 +225,55 @@ class TestBlockProjection:
     def test_matches_whole_projection(self, case, seed, solver_path):
         rng = np.random.default_rng(seed)
         blocks = interleaved_blocks(rng, BLOCK_SIZES[case])
-        n = sum(b.size for b in blocks)
-        mat = np.zeros((n, n))
-        on_blocks = np.zeros((n, n), dtype=bool)
-        for b in blocks:
-            ix = np.ix_(b, b)
-            mat[ix] = random_sym(rng, b.size).to_dense()
-            on_blocks[ix] = True
-        out = solver_module._block_projection(blocks, n)(mat)
+        mat, on_blocks = block_matrix(rng, blocks)
+        out = packed_projection(blocks, mat)
         assert np.linalg.norm(out - proj_psd_dense(mat)) <= 1e-12 * np.linalg.norm(mat)
         assert np.all(out[~on_blocks] == 0.0)
         np.testing.assert_array_equal(out, out.T)
+
+    def test_paths_by_block_size_and_run(self, monkeypatch):
+        """Runs of two or more blocks below the crossover go through one
+        batched eigendecomposition, every other block through dsyevx in place
+        on the packed vector itself."""
+        if projections_module._DSYEVX is None:
+            pytest.skip("numpy's LAPACK exports no dsyevx")
+        batched, in_place = [], []
+        eigh, factor = projections_module._proj_psd_eigh, projections_module._positive_factor
+
+        def spy_eigh(stack):
+            batched.append(stack.shape)
+            return eigh(stack)
+
+        def spy_factor(ws, a):
+            in_place.append((a.shape[0], np.shares_memory(a, x)))
+            return factor(ws, a)
+
+        monkeypatch.setattr(projections_module, "_proj_psd_eigh", spy_eigh)
+        monkeypatch.setattr(projections_module, "_positive_factor", spy_factor)
+        monkeypatch.setattr(projections_module, "_BATCH_BELOW", 10)
+        blocks = interleaved_blocks(np.random.default_rng(0), BLOCK_SIZES["big-and-small-runs"])
+        layout = solver_module._Layout(blocks, 53)
+        assert layout.groups == [(14, 1), (12, 2), (4, 3), (3, 1), (2, 1)]
+        x = layout.pack(block_matrix(np.random.default_rng(1), blocks)[0])
+        proj_psd_packed(x, layout.groups)
+        assert batched == [(3, 4, 4)]
+        assert in_place == [(14, True), (12, True), (12, True), (3, True), (2, True)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("where", ["big-block", "small-run", "isolated"])
+    def test_non_finite_entry_raises(self, where, bad, solver_path):
+        blocks = interleaved_blocks(np.random.default_rng(2), BLOCK_SIZES["big-and-small-runs"])
+        layout = solver_module._Layout(blocks, 53)
+        x = layout.pack(block_matrix(np.random.default_rng(3), blocks)[0])
+        x[{"big-block": 1, "small-run": 14 * 14 + 2 * 12 * 12 + 5, "isolated": -1}[where]] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            proj_psd_packed(x, layout.groups)
+
+    def test_rejects_a_vector_it_cannot_write_in_place(self):
+        x = np.eye(4).ravel()
+        for bad in (x[::2], x.astype(np.float32), x.reshape(4, 4)):
+            with pytest.raises(ValueError, match="contiguous 1-D float64"):
+                proj_psd_packed(bad, [(2, 2)])
 
 
 def test_threads_do_not_share_a_workspace():
@@ -294,10 +364,12 @@ def test_tf_cycle_maxcut_converges_under_permuted_projection(seed, monkeypatch):
     perm = np.random.default_rng(seed).permutation(n)
     back = np.argsort(perm)
 
-    def permuted(mat):
-        return proj_psd_dense(mat[np.ix_(perm, perm)])[np.ix_(back, back)]
+    def permuted(x, groups):
+        assert groups == [(n, 1)]  # one block, packed as X.ravel()
+        mat = x.reshape(n, n)
+        mat[...] = proj_psd_dense(mat[np.ix_(perm, perm)])[np.ix_(back, back)]
 
-    monkeypatch.setattr(solver_module, "proj_psd_dense", permuted)
+    monkeypatch.setattr(solver_module, "proj_psd_packed", permuted)
     trace = solve(cycle_maxcut(n), TuningFreePolicy(), SolveConfig(max_iters=20000, tol=1e-6))
     assert trace.status == "converged"
     assert trace.rows[-1].combined < 1e-6

@@ -4,17 +4,19 @@ import pytest
 import pdhgsdp.operators as operators_module
 import pdhgsdp.solver as solver_module
 from pdhgsdp.drs import check_equivalence, geometric_schedule
-from pdhgsdp.linalg import SymMat
+from pdhgsdp.linalg import SymMat, frobenius_inner_dense
 from pdhgsdp.operators import (
     ConstraintMap,
     adjoint,
+    adjoint_packed,
     apply_A,
     apply_At,
     forward,
+    forward_packed,
     lambda_max_AAt,
 )
 from pdhgsdp.problems import SdpProblem, gen_maxcut, gen_random, gen_snl, graph_laplacian
-from pdhgsdp.projections import proj_psd, proj_psd_dense
+from pdhgsdp.projections import proj_psd, proj_psd_dense, proj_psd_packed
 from pdhgsdp.solver import (
     POLICY_NAMES,
     BalancedResidualPolicy,
@@ -24,11 +26,13 @@ from pdhgsdp.solver import (
     LinesearchPolicy,
     LinesearchStalled,
     ResidualReport,
+    RunTrace,
     SchedulePolicy,
     SolveConfig,
     SolveError,
     StepsizePolicy,
     StepsizeState,
+    TraceRow,
     TuningFreePolicy,
     default_stepsize_product,
     make_policy,
@@ -57,10 +61,12 @@ def random_sym(rng, n):
 
 
 def iterate_state(prob, x_cur, y, k=0):
-    """IterateState with the map products the engine would have cached."""
+    """IterateState with the map products the engine would have cached, all
+    n-by-n: a hook works on any one shape of matrix."""
     cmap = prob.constraints
-    return IterateState(X_cur=x_cur, y=y, AX=forward(cmap, x_cur),
-                        Aty=adjoint(cmap, y), k=k)
+    return IterateState(X_cur=x_cur, y=y, AX=forward(cmap, x_cur), k=k,
+                        adjoint=lambda v: adjoint(cmap, v),
+                        form_aty=lambda: adjoint(cmap, y))
 
 
 class ConstantSteps(StepsizePolicy):
@@ -751,17 +757,17 @@ class TestSolveErrors:
         np.testing.assert_array_equal(trace.X_final.to_dense(), np.zeros((6, 6)))
 
     def test_projection_failure_keeps_completed_rows(self, monkeypatch):
-        # the eigensolver fails in iteration 3's projection (one block here,
-        # so one projection call per iteration)
+        # the eigensolver fails in iteration 3's projection (one projection
+        # call per iteration)
         calls = []
 
-        def failing(mat):
+        def failing(x, groups):
             calls.append(None)
             if len(calls) == 4:
                 raise np.linalg.LinAlgError("eigenvalues did not converge")
-            return proj_psd_dense(mat)
+            proj_psd_packed(x, groups)
 
-        monkeypatch.setattr(solver_module, "proj_psd_dense", failing)
+        monkeypatch.setattr(solver_module, "proj_psd_packed", failing)
         with pytest.raises(SolveError) as excinfo:
             solve(gen_random(1, n=6, m=4), FixedPolicy(),
                   SolveConfig(max_iters=5, tol=1e-300))
@@ -802,24 +808,30 @@ class TestSolveErrors:
         assert all(np.isfinite(row.combined) for row in trace.rows)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-    @pytest.mark.parametrize("where", ["in-block", "isolated-diagonal", "off-blocks"])
+    @pytest.mark.parametrize("where", ["in-block", "small-block", "isolated-diagonal"])
     def test_non_finite_entry_under_block_split_keeps_completed_rows(self, where, bad):
-        # the callback writes into iteration 2's output, so the split
-        # projection of iteration 3 sees a non-finite matrix; off the blocks
-        # no block projection would ever read the entry
+        # a hook writes into iteration 2's output, which it sees packed, so
+        # the projection of iteration 3 sees a non-finite entry in the big
+        # block, in the run of two 3-by-3 blocks, or among the isolated ones
         prob = split_maxcut()
         blocks = solver_module._aggregate_blocks(prob, np.zeros((prob.n, prob.n)))
+        layout = solver_module._Layout(blocks, prob.n)
+        assert layout.groups == [(38, 1), (3, 2), (2, 1)]
         big = max(blocks, key=len)
+        small = next(b for b in blocks if b.size == 3)
         lone = next(b[0] for b in blocks if b.size == 1)
-        i, j = {"in-block": (big[0], big[1]), "isolated-diagonal": (lone, lone),
-                "off-blocks": (big[0], lone)}[where]
+        i, j = {"in-block": (big[0], big[1]), "small-block": (small[0], small[2]),
+                "isolated-diagonal": (lone, lone)}[where]
+        slots = np.flatnonzero(np.isin(layout.index, [i * prob.n + j, j * prob.n + i]))
 
-        def poison(k, x, _y):
-            if k == 2:
-                x[i, j] = x[j, i] = bad
+        class Poisoning(FixedPolicy):
+            def adjust_post(self, problem, it, x_new, p_mat, report, ss):
+                if it.k == 2:
+                    x_new[slots] = bad
+                return None
 
         with pytest.raises(SolveError) as excinfo:
-            solve(prob, FixedPolicy(), SolveConfig(max_iters=5, tol=1e-300, callback=poison))
+            solve(prob, Poisoning(), SolveConfig(max_iters=5, tol=1e-300))
         assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
         trace = excinfo.value.trace
         assert trace.status == "error"
@@ -1052,33 +1064,34 @@ class TestOperatorApplications:
 @pytest.mark.parametrize("name", ENGINE_POLICIES)
 def test_one_projection_per_iteration(name, monkeypatch):
     """The engine reaches the projections module only through its
-    module-level ``proj_psd_dense``, once per iteration and block of two or
-    more indices, so wrapping that name sees every projection."""
+    module-level ``proj_psd_packed``, once per iteration whatever the blocks,
+    so wrapping that name sees every projection."""
     projections = [attr for attr, obj in vars(solver_module).items()
                    if getattr(obj, "__module__", None) == "pdhgsdp.projections"]
-    assert projections == ["proj_psd_dense"]
-    calls = [0]
-    original = solver_module.proj_psd_dense
+    assert projections == ["proj_psd_packed"]
+    calls = []
+    original = solver_module.proj_psd_packed
 
-    def counting(mat):
-        calls[0] += 1
-        return original(mat)
+    def counting(x, groups):
+        calls.append((x.size, list(groups)))
+        original(x, groups)
 
-    monkeypatch.setattr(solver_module, "proj_psd_dense", counting)
+    monkeypatch.setattr(solver_module, "proj_psd_packed", counting)
     iters = 25
     prob = gen_random(1, n=6, m=4)
     trace = solve(prob, every_policy(name, prob),
                   SolveConfig(max_iters=iters, tol=1e-300))
     assert trace.iterations == iters
-    assert calls[0] == iters
+    assert calls == [(36, [(6, 1)])] * iters
 
     # max-cut: blocks of 38, 3, 3 and 2 vertices, and 14 isolated ones
-    calls[0] = 0
+    calls.clear()
     prob = split_maxcut()
     trace = solve(prob, every_policy(name, prob),
                   SolveConfig(max_iters=iters, tol=1e-300))
     assert trace.iterations == iters
-    assert calls[0] == 4 * iters
+    size = 38 * 38 + 2 * 3 * 3 + 2 * 2 + 14
+    assert calls == [(size, [(38, 1), (3, 2), (2, 1)])] * iters
 
 
 @pytest.mark.parametrize("make_problem", [lambda: small_rg(42, n=6, m=4), small_snl],
@@ -1182,17 +1195,21 @@ PARITY_PROBLEMS = {
 @pytest.mark.parametrize("name", ENGINE_POLICIES)
 def test_iterates_match_old_dense_formula(name, family, monkeypatch):
     """Every map application of a 100-iteration solve, the engine's and its
-    hooks', agrees with the old dense-stack formula on the same argument.
-    Checked in lockstep, so roundoff the policies amplify over the run cannot
-    mask or fake a difference."""
+    hooks', agrees with the old dense-stack formula on the same argument,
+    read through the engine's packed layout: A(X) on the unpacked X, and
+    A^T(y) at the packed positions of the support. Checked in lockstep, so
+    roundoff the policies amplify over the run cannot mask or fake a
+    difference."""
     make, form = PARITY_PROBLEMS[family]
     prob = make()
     assert (prob.constraints.coo is None) == (form == "dense")
+    layout = solver_module._Layout(
+        solver_module._aggregate_blocks(prob, np.zeros((prob.n, prob.n))), prob.n)
     calls, mismatches = [0], []  # mismatching calls, by number
 
-    def lockstep(stored, old):
-        def apply(cmap, arg):
-            got, want = stored(cmap, arg), old(cmap, arg)
+    def lockstep(packed, old, before, after):
+        def apply(pmap, arg):
+            got, want = packed(pmap, arg), after(pmap, old(None, before(arg)))
             calls[0] += 1
             if np.linalg.norm(got - want) > 1e-12 * np.linalg.norm(want):
                 mismatches.append(calls[0])
@@ -1200,8 +1217,12 @@ def test_iterates_match_old_dense_formula(name, family, monkeypatch):
         return apply
 
     forward_old, adjoint_old = old_dense_formula(prob)
-    monkeypatch.setattr(solver_module, "forward", lockstep(forward, forward_old))
-    monkeypatch.setattr(solver_module, "adjoint", lockstep(adjoint, adjoint_old))
+    monkeypatch.setattr(solver_module, "forward_packed",
+                        lockstep(forward_packed, forward_old, layout.unpack,
+                                 lambda pmap, ax: ax))
+    monkeypatch.setattr(solver_module, "adjoint_packed",
+                        lockstep(adjoint_packed, adjoint_old, lambda y: y,
+                                 lambda pmap, aty: layout.pack(aty)[pmap.support]))
     trace = solve(prob, every_policy(name, prob), SolveConfig(max_iters=100, tol=1e-300))
     assert trace.iterations == 100
     assert calls[0] >= 2 * 100 + 2
@@ -1214,3 +1235,141 @@ def test_drs_certificate_on_sparse_maps(family):
     assert prob.constraints.dense is None
     report = check_equivalence(prob, geometric_schedule(), iters=60)
     assert report.max_x_defect < 1e-8 and report.max_z_defect < 1e-8
+
+
+def block_projection(blocks, n):
+    """The projection of n-by-n matrices that are zero off ``blocks`` as the
+    engine made it before it packed its iterate: each block of two or more
+    indices gathered out of the matrix and projected by ``proj_psd_dense``,
+    the isolated diagonal entries clipped at zero."""
+    if len(blocks) == 1:
+        return proj_psd_dense
+    squares = [np.add.outer(b * n, b) for b in blocks if b.size > 1]
+    diagonal = np.array([b[0] * (n + 1) for b in blocks if b.size == 1], dtype=np.intp)
+
+    def project(mat):
+        if not np.isfinite(mat).all():
+            raise np.linalg.LinAlgError("matrix has non-finite entries")
+        out = np.zeros((n, n))
+        flat = out.ravel()
+        for square in squares:
+            flat[square] = proj_psd_dense(mat.take(square))
+        flat[diagonal] = np.maximum(mat.take(diagonal), 0.0)
+        return out
+
+    return project
+
+
+def dense_reference_solve(problem, policy, config=SolveConfig()):
+    """The engine loop as it was before it iterated on packed blocks: X is
+    one n-by-n array, A^T(y) a dense n-by-n array, the blocks are gathered
+    and scattered by ``block_projection``, and the hooks see n-by-n arrays.
+    Kept as the reference the packed engine is checked against; it raises
+    where the engine would raise a SolveError."""
+    cmap, b, c = problem.constraints, problem.b, problem.C.dense
+    x_cur, y = solver_module._dense_initial(problem, config)
+    ax, aty = forward(cmap, x_cur), adjoint(cmap, y)
+    project = block_projection(solver_module._aggregate_blocks(problem, x_cur), problem.n)
+    ss = policy.initial_state(problem)
+    rows, status = [], "iteration_cap"
+    for k in range(config.max_iters):
+        alpha_x = ss.alpha
+        x_new = project(x_cur - alpha_x * (aty + c))
+        ax_new = forward(cmap, x_new)
+        it = IterateState(x_cur, y, ax, k, lambda v: adjoint(cmap, v), lambda aty=aty: aty)
+        dual = policy.dual_update(problem, it, x_new, ax_new, ss)
+        if dual is None:
+            ss.move_to(policy.adjust_mid(problem, it, x_new, ss))
+            theta = ss.theta
+            y_new = y + ss.beta * ((1.0 + theta) * ax_new - theta * ax - b)
+            aty_new = adjoint(cmap, y_new)
+        else:
+            y_new, aty_new = dual
+        dx, dy = x_cur - x_new, y - y_new
+        p_mat = dx / alpha_x - (aty - aty_new)
+        p, d = float(np.linalg.norm(p_mat)), float(np.linalg.norm(dy / ss.beta - (ax - ax_new)))
+        report = ResidualReport(p, d, p * p + d * d)
+        rows.append(TraceRow(k, p, d, report.combined, frobenius_inner_dense(c, x_new),
+                             ss.alpha, ss.beta, ss.theta, 0.0))
+        converged = stop_check(report, config.tol)
+        if not converged:
+            ss.move_to(policy.adjust_post(problem, it, x_new, p_mat, report, ss))
+        x_cur, y, ax, aty = x_new, y_new, ax_new, aty_new
+        if config.callback is not None:
+            config.callback(k, x_new, y_new)
+        if converged:
+            status = "converged"
+            break
+    return RunTrace(rows, status, SymMat(x_cur), y.copy(), flags=dict(ss.counts))
+
+
+def two_big_blocks_maxcut():
+    """A max-cut whose graph has connected components of 14 and 11 vertices,
+    both projected by dsyevx, and 3 isolated vertices."""
+    rng = np.random.default_rng(5)
+    edges = []
+    for base, size in ((0, 14), (14, 11)):
+        perm = base + rng.permutation(size)
+        edges += [(perm[i], perm[i + 1]) for i in range(size - 1)]
+        edges += [(base + i, base + (i + 4) % size) for i in range(0, size, 3)]
+    n = 28
+    diag = np.arange(n)
+    return SdpProblem(SymMat(graph_laplacian(n, edges)),
+                      ConstraintMap.from_triples(n, n, diag, diag, diag, np.ones(n)),
+                      np.ones(n), {"generator": "mc"})
+
+
+def with_start(prob, seed):
+    """``prob`` with a given PSD X0 and a random y0. X0 couples the first two
+    isolated indices of the problem, which joins them into a block, or the
+    first and the last index where none are isolated."""
+    n = prob.n
+    lone = [b[0] for b in solver_module._aggregate_blocks(prob, np.zeros((n, n)))
+            if b.size == 1]
+    i, j = lone[:2] if len(lone) > 1 else (0, n - 1)
+    x0 = np.eye(n)
+    x0[i, j] = x0[j, i] = 0.25
+    return prob, x0, np.random.default_rng(seed).standard_normal(prob.m)
+
+
+# (problem, X0, y0) makers, and whether the problem is one block
+REFERENCE_CORPUS = {
+    "rg": (lambda: (gen_random(3, n=8, m=6), None, None), True),
+    "rg-start": (lambda: with_start(gen_random(4, n=7, m=5), 1), True),
+    "snl": (lambda: (PARITY_PROBLEMS["snl"][0](), None, None), True),
+    "snl-small": (lambda: (small_snl(), None, None), True),
+    # components of 16, 6, 4, 4, 4, 3 and nine of 2 vertices, 25 isolated
+    "mc-runs": (lambda: (gen_maxcut(2, n=80, m_edges=40), None, None), False),
+    "mc-two-big": (lambda: (two_big_blocks_maxcut(), None, None), False),
+    # X0 joins two of split_maxcut's isolated vertices into a third 2-block
+    "mc-start": (lambda: with_start(split_maxcut(), 2), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CORPUS))
+@pytest.mark.parametrize("name", ENGINE_POLICIES)
+def test_matches_dense_reference_solve(name, case):
+    """The packed engine takes the reference's iterations to the stopping
+    rule, with X_final bitwise equal on problems that are one block and
+    within 1e-12 relative elsewhere; its callback gets n-by-n arrays."""
+    make, one_block = REFERENCE_CORPUS[case]
+    prob, x0, y0 = make()
+    if case == "mc-start":
+        assert solver_module._Layout(solver_module._aggregate_blocks(prob, x0),
+                                     prob.n).groups == [(38, 1), (3, 2), (2, 2)]
+    shapes = set()
+    config = SolveConfig(max_iters=4000, X0=x0, y0=y0,
+                         callback=lambda k, x, y: shapes.add((x.shape, y.shape)))
+    packed = solve(prob, every_policy(name, prob), config)
+    assert shapes == {((prob.n, prob.n), (prob.m,))}
+    ref = dense_reference_solve(prob, every_policy(name, prob), config)
+    assert packed.status == ref.status
+    assert packed.iterations == ref.iterations
+    x, x_ref = packed.X_final.dense, ref.X_final.dense
+    assert x.shape == (prob.n, prob.n)
+    if one_block:
+        np.testing.assert_array_equal(x, x_ref)
+        assert [(r.p_norm, r.d_norm, r.alpha, r.beta, r.theta) for r in packed.rows] == \
+            [(r.p_norm, r.d_norm, r.alpha, r.beta, r.theta) for r in ref.rows]
+    else:
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
