@@ -7,9 +7,11 @@ numpy wheels), so no further dependency is loaded. Where numpy's build does
 not export it (MKL, conda or Windows builds), the projection clips a full
 ``np.linalg.eigh``; that path is also the reference the tests compare against.
 
-``proj_psd_packed`` projects a matrix held as its diagonal blocks, the
-solver's iterate, in place: ``dsyevx`` runs on each block's slice of the
-vector itself, and runs of equal small blocks share one batched ``eigh``.
+``proj_psd_packed`` is the one routine that calls the eigensolvers. It
+projects a matrix held as its diagonal blocks, the solver's iterate, in
+place: ``dsyevx`` runs on each block's slice of the vector itself, and runs
+of equal small blocks share one batched ``eigh``. ``proj_psd_dense``
+projects an n-by-n array as one such block, on a copy.
 """
 
 from __future__ import annotations
@@ -69,13 +71,12 @@ class _Workspace:
     of the matrix, which each call passes. The arguments hold raw addresses,
     so the buffers must live as long as they do."""
 
-    # dimensions kept per thread, the most recently used; dsyevx sees only
-    # whole matrices and blocks of at least _BATCH_BELOW indices, so a solve
-    # uses few sizes
+    # dimensions kept per thread, the most recently used; dsyevx sees whole
+    # matrices, blocks of at least _BATCH_BELOW indices and blocks with no
+    # other of their size, so a solve uses few sizes
     PER_THREAD = 8
 
     def __init__(self, n: int):
-        self.a = np.empty((n, n), order="F")
         self.w = np.empty(n)
         self.z = np.empty((n, n), order="F")
         self.m = np.zeros(1, dtype=np.int64)
@@ -129,14 +130,10 @@ def proj_psd_dense(mat: np.ndarray) -> np.ndarray:
     eigensolver failure."""
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise np.linalg.LinAlgError(f"expected a square matrix, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise np.linalg.LinAlgError("matrix has non-finite entries")
-    if _DSYEVX is None:
-        return _proj_psd_eigh(mat.T[np.newaxis])[0]  # the upper triangle of mat.T
-    ws = _workspace(mat.shape[0])
-    ws.a[...] = mat  # dsyevx overwrites its input
-    v = _positive_factor(ws, ws.a)
-    return v @ v.T  # one SYRK, so the output is exactly symmetric
+    # the upper triangle of mat.T, row-major, is the block proj_psd_packed reads
+    out = np.array(mat.T, dtype=float, order="C")
+    proj_psd_packed(out.reshape(-1), [(mat.shape[0], 1)])
+    return out
 
 
 def proj_psd_packed(x: np.ndarray, groups) -> None:
@@ -150,10 +147,8 @@ def proj_psd_packed(x: np.ndarray, groups) -> None:
 
     Each run of two or more equal blocks smaller than _BATCH_BELOW goes
     through one batched eigendecomposition; every other block goes through
-    dsyevx in place, so a matrix that is one block is projected as
-    ``proj_psd_dense`` projects it, bit for bit. Raises
-    ``np.linalg.LinAlgError`` on a non-finite entry or an eigensolver
-    failure.
+    dsyevx in place. Raises ``np.linalg.LinAlgError`` on a non-finite entry
+    or an eigensolver failure.
     """
     if x.dtype != np.float64 or x.ndim != 1 or not x.flags.c_contiguous:
         raise ValueError("expected a contiguous 1-D float64 array")

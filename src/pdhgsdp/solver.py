@@ -27,16 +27,18 @@ The engine iterates on the blocks of the aggregate sparsity pattern: the
 off-diagonal nonzeros of C, of every A_i and of X_0 join their indices into
 blocks, found once per solve. Every iterate stays zero off the blocks, so X
 is kept as one packed vector of its blocks (:class:`_Layout`; a problem that
-is one block is packed as X.ravel()), and projecting each block on its own
-(``proj_psd_packed``) is the exact projection. A^T(y) and C are kept only on
-the support, the packed positions where either can be nonzero (everything
-for a dense map). Off the support the primal step and the primal residual
-subtract exact zeros, so both are the dense formulas bit for bit.
+is one block is packed in row-major order), and projecting each block on its
+own (``proj_psd_packed``) is the exact projection. A^T(y) and C are kept only
+on the support, the packed positions where either can be nonzero
+(everything for a dense map). Off the support the primal step and the
+primal residual subtract exact zeros, so both are the dense formulas bit for
+bit.
 
-Hooks see packed vectors: X^k, X^{k+1} and the primal residual. The map's
-adjoint onto packed vectors is ``IterateState.adjoint``, and ``it.Aty`` is
-formed only when a hook reads it. ``RunTrace.X_final``, the callback's
-argument and the partial trace of :class:`SolveError` are n-by-n.
+Hooks see X^k, X^{k+1} and the primal residual as packed vectors, and
+A^T(y^k) as ``it.Aty``, its values on the support ``it.support``; the map's
+adjoint ``it.adjoint`` returns its values there too. ``RunTrace.X_final``,
+the callback's argument and the partial trace of :class:`SolveError` are
+new n-by-n arrays.
 """
 
 from __future__ import annotations
@@ -105,21 +107,18 @@ class StepsizeState:
 @dataclass
 class IterateState:
     """Engine iterates entering iteration k, with their cached map products:
-    X_cur = X^k, y = y^k and AX = A(X^k). Matrices are packed vectors in the
-    engine's layout (see the module docstring). ``adjoint`` maps an m-vector
-    v to A^T(v), packed; ``Aty`` = A^T(y^k), packed, is formed by ``form_aty``
-    when a hook reads it."""
+    X_cur = X^k, y = y^k, AX = A(X^k) and Aty = A^T(y^k). X_cur is a packed
+    vector in the engine's layout (see the module docstring); Aty holds the
+    values of A^T(y^k) at the packed positions ``support``, and is zero off
+    them. ``adjoint`` maps an m-vector v to A^T(v) on ``support`` too."""
 
     X_cur: np.ndarray
     y: np.ndarray
     AX: np.ndarray
+    Aty: np.ndarray
+    support: np.ndarray | slice
     k: int
     adjoint: Callable[[np.ndarray], np.ndarray]
-    form_aty: Callable[[], np.ndarray]
-
-    @property
-    def Aty(self) -> np.ndarray:
-        return self.form_aty()
 
 
 @dataclass(frozen=True)
@@ -268,7 +267,8 @@ class StepsizePolicy:
     def dual_update(self, problem, it: IterateState, x_new, ax_new,
                     ss: StepsizeState) -> tuple[np.ndarray, np.ndarray] | None:
         """Take over the dual step given X^{k+1} and A(X^{k+1}): return
-        (y^{k+1}, A^T(y^{k+1}) packed), or None to leave it to the engine."""
+        (y^{k+1}, A^T(y^{k+1}) on ``it.support``), or None to leave it to the
+        engine."""
         return None
 
     def adjust_post(self, problem, it: IterateState, x_new, p_mat,
@@ -476,7 +476,8 @@ class TuningFreePolicy(StepsizePolicy):
     def adjust_mid(self, problem, it, x_new, ss):
         k_one_based = it.k + 1
         omega = 2.0 ** (-k_one_based / 100.0)
-        ref = x_new - it.X_cur + ss.alpha * it.Aty
+        ref = x_new - it.X_cur
+        ref[it.support] += ss.alpha * it.Aty
         den = float(np.linalg.norm(ref))
         num = float(np.linalg.norm(x_new))
         if den == 0.0:
@@ -562,19 +563,15 @@ class _Layout:
     ``blocks``, which partition range(n). Each block of two or more indices
     is stored as its full square, row-major, the largest blocks first and
     blocks of equal size next to each other; the diagonal entries of the
-    isolated indices come last. A matrix that is one block is stored as its
-    ravel. Entry p holds the row-major flat entry ``index[p]``, and
-    ``groups`` lists the (size, count) of each run of equal blocks."""
+    isolated indices come last. Entry p holds the row-major flat entry
+    ``index[p]``, and ``groups`` lists the (size, count) of each run of
+    equal blocks."""
 
     def __init__(self, blocks: list[np.ndarray], n: int):
         self.n = n
-        self.whole = len(blocks) == 1
-        if self.whole:
-            squares, lone = blocks, np.zeros(0, dtype=np.intp)
-        else:
-            # sorted is stable, so blocks of equal size keep their order
-            squares = sorted((b for b in blocks if b.size > 1), key=len, reverse=True)
-            lone = np.array([b[0] for b in blocks if b.size == 1], dtype=np.intp)
+        # sorted is stable, so blocks of equal size keep their order
+        squares = sorted((b for b in blocks if b.size > 1), key=len, reverse=True)
+        lone = np.array([b[0] for b in blocks if b.size == 1], dtype=np.intp)
         self.index = np.concatenate([np.add.outer(b * n, b).ravel() for b in squares]
                                     + [lone * (n + 1)])
         sizes = [b.size for b in squares]
@@ -584,25 +581,10 @@ class _Layout:
         return mat.ravel()[self.index]
 
     def unpack(self, x: np.ndarray) -> np.ndarray:
-        """The n-by-n matrix of a packed vector: a view of it for a matrix
-        that is one block, else a new array."""
-        n = self.n
-        if self.whole:
-            return x.reshape(n, n)
-        out = np.zeros(n * n)
+        """The n-by-n matrix of a packed vector, as a new array."""
+        out = np.zeros(self.n * self.n)
         out[self.index] = x
-        return out.reshape(n, n)
-
-
-def _spread(values: np.ndarray, support, size: int) -> np.ndarray:
-    """The packed vector of ``size`` entries that holds ``values`` at the
-    positions ``support`` and zeros elsewhere: ``values`` itself where the
-    support is everything."""
-    if isinstance(support, slice):
-        return values
-    out = np.zeros(size)
-    out[support] = values
-    return out
+        return out.reshape(self.n, self.n)
 
 
 def solve(problem: SdpProblem, policy: StepsizePolicy,
@@ -619,14 +601,11 @@ def solve(problem: SdpProblem, policy: StepsizePolicy,
     layout = _Layout(_aggregate_blocks(problem, x0), problem.n)
     c_packed = layout.pack(problem.C.dense)
     pmap = problem.constraints.packed(layout.index, np.flatnonzero(c_packed))
-    support, size = pmap.support, layout.index.size
+    support = pmap.support
     c = c_packed[support]  # C off the support is zero
     x_cur = layout.pack(x0)
     ax, aty = forward_packed(pmap, x_cur), adjoint_packed(pmap, y)
-
-    def packed_adjoint(v):
-        return _spread(adjoint_packed(pmap, v), support, size)
-
+    packed_adjoint = partial(adjoint_packed, pmap)
     ss = policy.initial_state(problem)
     rows: list[TraceRow] = []
     status = "iteration_cap"
@@ -640,8 +619,7 @@ def solve(problem: SdpProblem, policy: StepsizePolicy,
             x_new[support] -= alpha_x * (aty + c)
             proj_psd_packed(x_new, layout.groups)
             ax_new = forward_packed(pmap, x_new)
-            it = IterateState(x_cur, y, ax, k, packed_adjoint,
-                              partial(_spread, aty, support, size))
+            it = IterateState(x_cur, y, ax, aty, support, k, packed_adjoint)
             dual = policy.dual_update(problem, it, x_new, ax_new, ss)
             if dual is None:
                 ss.move_to(policy.adjust_mid(problem, it, x_new, ss))
@@ -649,7 +627,7 @@ def solve(problem: SdpProblem, policy: StepsizePolicy,
                 y_new = y + ss.beta * ((1.0 + theta) * ax_new - theta * ax - b)
                 aty_new = adjoint_packed(pmap, y_new)
             else:
-                y_new, aty_new = dual[0], dual[1][support]
+                y_new, aty_new = dual
 
             report, p_mat = _residual_report(x_cur - x_new, y - y_new, aty - aty_new,
                                              ax - ax_new, alpha_x, ss.beta, support)

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -62,11 +64,11 @@ def random_sym(rng, n):
 
 def iterate_state(prob, x_cur, y, k=0):
     """IterateState with the map products the engine would have cached, all
-    n-by-n: a hook works on any one shape of matrix."""
+    n-by-n, on a support that is everything: a hook works on any one shape
+    of matrix."""
     cmap = prob.constraints
-    return IterateState(X_cur=x_cur, y=y, AX=forward(cmap, x_cur), k=k,
-                        adjoint=lambda v: adjoint(cmap, v),
-                        form_aty=lambda: adjoint(cmap, y))
+    return IterateState(X_cur=x_cur, y=y, AX=forward(cmap, x_cur), Aty=adjoint(cmap, y),
+                        support=slice(None), k=k, adjoint=lambda v: adjoint(cmap, v))
 
 
 class ConstantSteps(StepsizePolicy):
@@ -697,6 +699,21 @@ class TestSolveEngine:
         solve(prob, FixedPolicy(), cfg)
         assert seen == list(range(17))
 
+    def test_callback_writing_its_matrix_leaves_the_solve_unchanged(self):
+        # the callback gets a new n-by-n array, even on a problem that is one
+        # block, so writing into it cannot reach the engine's iterate
+        def overwrite(k, x, y):
+            x[...] = np.nan
+
+        prob = gen_random(1, n=6, m=4)
+        plain = solve(prob, FixedPolicy(), SolveConfig(max_iters=20, tol=1e-300))
+        written = solve(prob, FixedPolicy(),
+                        SolveConfig(max_iters=20, tol=1e-300, callback=overwrite))
+        assert written.status == plain.status
+        assert [row[:-1] for row in map(astuple, written.rows)] == \
+            [row[:-1] for row in map(astuple, plain.rows)]  # all but wall_ms
+        np.testing.assert_array_equal(written.X_final.dense, plain.X_final.dense)
+
     def test_iterates_stay_bitwise_symmetric(self):
         prob = small_rg(39)
         checks = []
@@ -792,15 +809,15 @@ class TestSolveErrors:
         assert excinfo.value.args == (2,)
 
     def test_non_finite_projection_input_keeps_completed_rows(self):
-        # the callback writes a NaN pair into iteration 2's output, so the
-        # projection of iteration 3 sees a non-finite matrix
-        def poison(k, x, _y):
-            if k == 2:
-                x[0, 1] = x[1, 0] = np.nan
+        # a hook sets a NaN stepsize after iteration 2, so the projection of
+        # iteration 3 sees a non-finite matrix
+        class Poisoning(FixedPolicy):
+            def adjust_post(self, problem, it, x_new, p_mat, report, ss):
+                return np.nan if it.k == 2 else None
 
         with pytest.raises(SolveError) as excinfo:
-            solve(gen_random(1, n=6, m=4), FixedPolicy(),
-                  SolveConfig(max_iters=5, tol=1e-300, callback=poison))
+            solve(gen_random(1, n=6, m=4), Poisoning(),
+                  SolveConfig(max_iters=5, tol=1e-300))
         assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
         trace = excinfo.value.trace
         assert trace.status == "error"
@@ -1161,6 +1178,45 @@ def test_stepsize_identities_hold_exactly(name, make_problem):
         prev = row.alpha
 
 
+def test_hooks_read_the_adjoint_on_the_support():
+    """On a problem of many blocks, with a sparse map, it.Aty, it.adjoint(v)
+    and the A^T(y^{k+1}) that ls's dual step returns hold A^T's values on
+    the engine's support and nothing else."""
+    prob = gen_maxcut(2, n=80, m_edges=40)
+    cmap = prob.constraints
+    assert cmap.coo is not None
+    layout = solver_module._Layout(
+        solver_module._aggregate_blocks(prob, np.zeros((prob.n, prob.n))), prob.n)
+    assert len(layout.groups) > 1
+    support = cmap.packed(layout.index, np.flatnonzero(layout.pack(prob.C.dense))).support
+    assert support.size < layout.index.size
+
+    def on_support(v):
+        return layout.pack(adjoint(cmap, v))[support]
+
+    rng = np.random.default_rng(0)
+    checked = []
+
+    class Checking(LinesearchPolicy):
+        def dual_update(self, problem, it, x_new, ax_new, ss):
+            np.testing.assert_array_equal(it.support, support)
+            assert it.Aty.shape == (support.size,)
+            np.testing.assert_array_equal(it.Aty, on_support(it.y))
+            v = rng.standard_normal(problem.m)
+            assert it.adjoint(v).shape == (support.size,)
+            np.testing.assert_array_equal(it.adjoint(v), on_support(v))
+            y_new, aty_new = super().dual_update(problem, it, x_new, ax_new, ss)
+            want = on_support(y_new)
+            assert aty_new.shape == (support.size,)
+            # a sum of A^T's values, so equal up to roundoff
+            assert np.linalg.norm(aty_new - want) <= 1e-12 * np.linalg.norm(want)
+            checked.append(it.k)
+            return y_new, aty_new
+
+    solve(prob, Checking(), SolveConfig(max_iters=10, tol=1e-300))
+    assert checked == list(range(10))
+
+
 def test_make_policy_dispatch():
     assert make_policy("fixed").name == "fixed"
     assert make_policy("bpdr", eps0=0.25).eps0 == 0.25
@@ -1276,7 +1332,7 @@ def dense_reference_solve(problem, policy, config=SolveConfig()):
         alpha_x = ss.alpha
         x_new = project(x_cur - alpha_x * (aty + c))
         ax_new = forward(cmap, x_new)
-        it = IterateState(x_cur, y, ax, k, lambda v: adjoint(cmap, v), lambda aty=aty: aty)
+        it = IterateState(x_cur, y, ax, aty, slice(None), k, lambda v: adjoint(cmap, v))
         dual = policy.dual_update(problem, it, x_new, ax_new, ss)
         if dual is None:
             ss.move_to(policy.adjust_mid(problem, it, x_new, ss))
