@@ -70,7 +70,11 @@ class ConstraintMap:
         may name either triangle; repeated entries add up and zeros drop out."""
         if m < 1 or n < 1:
             raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-        con, i, j = (np.asarray(a, dtype=np.int64) for a in (con, i, j))
+        con, i, j = (np.asarray(a) for a in (con, i, j))
+        for name, idx in (("con", con), ("i", i), ("j", j)):
+            if idx.size and not np.issubdtype(idx.dtype, np.integer):
+                raise ValueError(f"{name} must hold integer indices, got dtype {idx.dtype}")
+        con, i, j = (a.astype(np.int64, copy=False) for a in (con, i, j))
         vals = np.asarray(vals, dtype=float)
         if not con.shape == i.shape == j.shape == vals.shape or con.ndim != 1:
             raise ValueError("con, i, j and vals must be 1-D and of equal length")

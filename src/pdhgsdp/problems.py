@@ -148,8 +148,8 @@ def gen_maxcut(
     objective for a nontrivial variant.
     """
     max_edges = n * (n - 1) // 2
-    if m_edges > max_edges:
-        raise ValueError(f"{m_edges} edges infeasible for n={n} (max {max_edges})")
+    if not 0 <= m_edges <= max_edges:
+        raise ValueError(f"m_edges={m_edges} edges infeasible for n={n} (0 to {max_edges})")
     rng = np.random.default_rng(seed)
     edges = _sample_edges(rng, n, m_edges)
     lap = graph_laplacian(n, edges)
@@ -201,6 +201,8 @@ def gen_snl(
     """
     if p < 1:
         raise ValueError(f"ambient dimension must be >= 1, got {p}")
+    if m_anchors < 0:
+        raise ValueError(f"m_anchors must be >= 0, got {m_anchors}")
     if n_sensors < 1:
         raise ValueError(f"need at least one sensor, got n_sensors={n_sensors}")
     if degree < 1:

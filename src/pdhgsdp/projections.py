@@ -8,17 +8,16 @@ not export it (MKL, conda or Windows builds), the projection clips a full
 ``np.linalg.eigh``; that path is also the reference the tests compare against.
 
 ``proj_psd_packed`` is the one routine that calls the eigensolvers. It
-projects a matrix held as its diagonal blocks, the solver's iterate, in
-place: ``dsyevx`` runs on each block's slice of the vector itself, and runs
-of equal small blocks share one batched ``eigh``. ``proj_psd_dense``
-projects an n-by-n array as one such block, on a copy.
+projects, in place, a matrix packed by its diagonal blocks (the solver's
+iterate) along the plan its :class:`Layout` made once: ``dsyevx`` on each
+block's slice, in its run's own workspace, or one batched ``eigh`` per run
+of equal small blocks. ``proj_psd_dense`` projects an n-by-n array as one
+such block, on a copy.
 """
 
 from __future__ import annotations
 
 import ctypes
-import threading
-from collections import OrderedDict
 
 import numpy as np
 
@@ -69,12 +68,8 @@ _BATCH_BELOW = 10
 class _Workspace:
     """dsyevx's buffers and arguments for one dimension n, except the address
     of the matrix, which each call passes. The arguments hold raw addresses,
-    so the buffers must live as long as they do."""
-
-    # dimensions kept per thread, the most recently used; dsyevx sees whole
-    # matrices, blocks of at least _BATCH_BELOW indices and blocks with no
-    # other of their size, so a solve uses few sizes
-    PER_THREAD = 8
+    so the buffers must live as long as they do; dsyevx writes into them
+    without the interpreter lock, so each belongs to one plan."""
 
     def __init__(self, n: int):
         self.w = np.empty(n)
@@ -99,24 +94,40 @@ class _Workspace:
                      1, 1, 1)
 
 
-# Workspaces per thread and dimension: dsyevx writes into them without the
-# interpreter lock, so two threads must not share one; kept between calls,
-# they spare each call the page faults of fresh n-by-n buffers.
-_LOCAL = threading.local()
+def _run(k: int, count: int) -> tuple:
+    """(k, count, ws) for a run of ``count`` blocks of k indices: ws is its
+    dsyevx workspace, or None where one batched eigh takes the whole run."""
+    batched = _DSYEVX is None or (count > 1 and k < _BATCH_BELOW)
+    return k, count, None if batched else _Workspace(k)
 
 
-def _workspace(n: int) -> _Workspace:
-    cache = getattr(_LOCAL, "cache", None)
-    if cache is None:
-        cache = _LOCAL.cache = OrderedDict()
-    ws = cache.get(n)
-    if ws is None:
-        ws = cache[n] = _Workspace(n)
-        if len(cache) > _Workspace.PER_THREAD:
-            cache.popitem(last=False)  # the least recently used
-    else:
-        cache.move_to_end(n)
-    return ws
+class Layout:
+    """Where a packed vector keeps a symmetric n-by-n matrix that is zero off
+    ``blocks``, which partition range(n). Each block of two or more indices
+    is stored as its full square, row-major, the largest blocks first and
+    blocks of equal size next to each other; the diagonal entries of the
+    isolated indices come last. Entry p holds the row-major flat entry
+    ``index[p]``, and ``runs``, the plan ``proj_psd_packed`` walks, holds
+    one (size, count, workspace) per run of equal blocks."""
+
+    def __init__(self, blocks: list[np.ndarray], n: int):
+        self.n = n
+        # sorted is stable, so blocks of equal size keep their order
+        squares = sorted((b for b in blocks if b.size > 1), key=len, reverse=True)
+        lone = np.array([b[0] for b in blocks if b.size == 1], dtype=np.intp)
+        self.index = np.concatenate([np.add.outer(b * n, b).ravel() for b in squares]
+                                    + [lone * (n + 1)])
+        sizes = [b.size for b in squares]
+        self.runs = [_run(k, sizes.count(k)) for k in dict.fromkeys(sizes)]
+
+    def pack(self, mat: np.ndarray) -> np.ndarray:
+        return mat.ravel()[self.index]
+
+    def unpack(self, x: np.ndarray) -> np.ndarray:
+        """The n-by-n matrix of a packed vector, as a new array."""
+        out = np.zeros(self.n * self.n)
+        out[self.index] = x
+        return out.reshape(self.n, self.n)
 
 
 def proj_psd(m: SymMat) -> SymMat:
@@ -132,37 +143,37 @@ def proj_psd_dense(mat: np.ndarray) -> np.ndarray:
         raise np.linalg.LinAlgError(f"expected a square matrix, got shape {mat.shape}")
     # the upper triangle of mat.T, row-major, is the block proj_psd_packed reads
     out = np.array(mat.T, dtype=float, order="C")
-    proj_psd_packed(out.reshape(-1), [(mat.shape[0], 1)])
+    proj_psd_packed(out.reshape(-1), [_run(mat.shape[0], 1)])
     return out
 
 
-def proj_psd_packed(x: np.ndarray, groups) -> None:
+def proj_psd_packed(x: np.ndarray, runs) -> None:
     """Project, in place, a symmetric matrix held as its diagonal blocks.
 
     ``x`` holds runs of equal blocks, each block its full square row-major,
-    one run per ``(k, count)`` pair of ``groups``, and then the diagonal
-    entries of the isolated indices. Those entries are clipped at zero. A
-    block is read from its upper triangle, the lower one in the column-major
-    order LAPACK reads.
+    one run per ``(k, count, ws)`` entry of ``runs`` (a :class:`Layout`'s
+    plan), and then the diagonal entries of the isolated indices. Those
+    entries are clipped at zero. A block is read from its upper triangle,
+    the lower one in the column-major order LAPACK reads.
 
-    Each run of two or more equal blocks smaller than _BATCH_BELOW goes
-    through one batched eigendecomposition; every other block goes through
-    dsyevx in place. Raises ``np.linalg.LinAlgError`` on a non-finite entry
-    or an eigensolver failure.
+    A run whose ``ws`` is None goes through one batched eigendecomposition;
+    every block of any other run goes through dsyevx in place, in ``ws``.
+    Raises ``np.linalg.LinAlgError`` on a non-finite entry or an eigensolver
+    failure.
     """
     if x.dtype != np.float64 or x.ndim != 1 or not x.flags.c_contiguous:
         raise ValueError("expected a contiguous 1-D float64 array")
     if not np.isfinite(x).all():
         raise np.linalg.LinAlgError("matrix has non-finite entries")
     start = 0
-    for k, count in groups:
+    for k, count, ws in runs:
         stop = start + count * k * k
         stack = x[start:stop].reshape(count, k, k)
-        if _DSYEVX is None or (count > 1 and k < _BATCH_BELOW):
+        if ws is None:
             stack[...] = _proj_psd_eigh(stack)
         else:
             for block in stack:
-                v = _positive_factor(_workspace(k), block)
+                v = _positive_factor(ws, block)
                 np.matmul(v, v.T, out=block)
         start = stop
     np.maximum(x[start:], 0.0, out=x[start:])

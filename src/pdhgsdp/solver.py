@@ -26,19 +26,19 @@ that serve all of its backtracking trials.
 The engine iterates on the blocks of the aggregate sparsity pattern: the
 off-diagonal nonzeros of C, of every A_i and of X_0 join their indices into
 blocks, found once per solve. Every iterate stays zero off the blocks, so X
-is kept as one packed vector of its blocks (:class:`_Layout`; a problem that
-is one block is packed in row-major order), and projecting each block on its
-own (``proj_psd_packed``) is the exact projection. A^T(y) and C are kept only
-on the support, the packed positions where either can be nonzero
-(everything for a dense map). Off the support the primal step and the
-primal residual subtract exact zeros, so both are the dense formulas bit for
-bit.
+is kept as one packed vector of its blocks, and projecting each block on its
+own (``proj_psd_packed``) is the exact projection. ``projections.Layout``
+packs the vector and plans that projection once per solve, with dsyevx
+workspaces of its own. A^T(y) and C are kept only on the support, the packed
+positions where either can be nonzero (everything for a dense map). Off the
+support the primal step and the primal residual subtract exact zeros, so
+both are the dense formulas bit for bit.
 
 Hooks see X^k, X^{k+1} and the primal residual as packed vectors, and
 A^T(y^k) as ``it.Aty``, its values on the support ``it.support``; the map's
 adjoint ``it.adjoint`` returns its values there too. ``RunTrace.X_final``,
-the callback's argument and the partial trace of :class:`SolveError` are
-new n-by-n arrays.
+the callback's X and the partial trace of :class:`SolveError` are new n-by-n
+arrays, and the callback's y is a copy.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import numpy as np
 from .linalg import SymMat, frobenius_inner_dense
 from .operators import adjoint, adjoint_packed, forward, forward_packed, lambda_max_AAt
 from .problems import SdpProblem
-from .projections import proj_psd_packed
+from .projections import Layout, proj_psd_packed
 
 DEFAULT_TOL = 1e-6
 
@@ -184,7 +184,7 @@ class SolveConfig:
     X0: SymMat | np.ndarray | None = None
     y0: np.ndarray | None = None
     # observation hook, called as callback(k, X_new, y_new) after each
-    # iteration; must not mutate its arguments
+    # iteration with copies of the iterates, so writing into them is harmless
     callback: Callable[[int, np.ndarray, np.ndarray], None] | None = None
 
     def __post_init__(self):
@@ -558,35 +558,6 @@ def _aggregate_blocks(problem: SdpProblem, x0: np.ndarray) -> list[np.ndarray]:
     return np.split(order, starts)
 
 
-class _Layout:
-    """Where a packed vector keeps a symmetric n-by-n matrix that is zero off
-    ``blocks``, which partition range(n). Each block of two or more indices
-    is stored as its full square, row-major, the largest blocks first and
-    blocks of equal size next to each other; the diagonal entries of the
-    isolated indices come last. Entry p holds the row-major flat entry
-    ``index[p]``, and ``groups`` lists the (size, count) of each run of
-    equal blocks."""
-
-    def __init__(self, blocks: list[np.ndarray], n: int):
-        self.n = n
-        # sorted is stable, so blocks of equal size keep their order
-        squares = sorted((b for b in blocks if b.size > 1), key=len, reverse=True)
-        lone = np.array([b[0] for b in blocks if b.size == 1], dtype=np.intp)
-        self.index = np.concatenate([np.add.outer(b * n, b).ravel() for b in squares]
-                                    + [lone * (n + 1)])
-        sizes = [b.size for b in squares]
-        self.groups = [(k, sizes.count(k)) for k in dict.fromkeys(sizes)]
-
-    def pack(self, mat: np.ndarray) -> np.ndarray:
-        return mat.ravel()[self.index]
-
-    def unpack(self, x: np.ndarray) -> np.ndarray:
-        """The n-by-n matrix of a packed vector, as a new array."""
-        out = np.zeros(self.n * self.n)
-        out[self.index] = x
-        return out.reshape(self.n, self.n)
-
-
 def solve(problem: SdpProblem, policy: StepsizePolicy,
           config: SolveConfig = SolveConfig()) -> RunTrace:
     """Run the engine until the stopping rule fires or the budget runs out.
@@ -598,7 +569,7 @@ def solve(problem: SdpProblem, policy: StepsizePolicy,
     """
     b = problem.b
     x0, y = _dense_initial(problem, config)
-    layout = _Layout(_aggregate_blocks(problem, x0), problem.n)
+    layout = Layout(_aggregate_blocks(problem, x0), problem.n)
     c_packed = layout.pack(problem.C.dense)
     pmap = problem.constraints.packed(layout.index, np.flatnonzero(c_packed))
     support = pmap.support
@@ -617,7 +588,7 @@ def solve(problem: SdpProblem, policy: StepsizePolicy,
             # X - alpha (A^T(y) + C), where A^T(y) + C is zero off the support
             x_new = x_cur.copy()
             x_new[support] -= alpha_x * (aty + c)
-            proj_psd_packed(x_new, layout.groups)
+            proj_psd_packed(x_new, layout.runs)
             ax_new = forward_packed(pmap, x_new)
             it = IterateState(x_cur, y, ax, aty, support, k, packed_adjoint)
             dual = policy.dual_update(problem, it, x_new, ax_new, ss)
@@ -646,7 +617,7 @@ def solve(problem: SdpProblem, policy: StepsizePolicy,
 
         x_cur, y, ax, aty = x_new, y_new, ax_new, aty_new
         if config.callback is not None:
-            config.callback(k, layout.unpack(x_new), y_new)
+            config.callback(k, layout.unpack(x_new), y_new.copy())
         if converged:
             status = "converged"
             break

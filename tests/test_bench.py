@@ -119,7 +119,7 @@ class TestRunBench:
 
     def test_run_errors_recorded_not_fatal(self, monkeypatch):
         # a projection that fails in every solve must not kill the sweep
-        def failing_projection(x, groups):
+        def failing_projection(x, runs):
             raise np.linalg.LinAlgError("eigensolver did not converge")
 
         monkeypatch.setattr(solver_mod, "proj_psd_packed", failing_projection)

@@ -330,6 +330,15 @@ class TestStoredForms:
             ConstraintMap.from_triples(1, 2, [1], [0], [0], [1.0])
         with pytest.raises(ValueError):
             ConstraintMap.from_triples(1, 2, [0], [0], [2], [1.0])
+        # a fractional index would be truncated to another entry
+        for bad, name in [(([0.0], [1], [0]), "con"), (([0], [1.7], [0]), "i"),
+                          (([0], [1], [0.2]), "j")]:
+            with pytest.raises(ValueError, match=f"^{name} must hold integer indices"):
+                ConstraintMap.from_triples(1, 3, *bad, [1.0])
+        for dtype in (np.int8, np.uint16, np.int32, np.uint64):
+            idx = np.array([0, 1], dtype=dtype)
+            cmap = ConstraintMap.from_triples(2, 3, idx, idx, idx[::-1], [1.0, 2.0])
+            np.testing.assert_array_equal(forward(cmap, np.ones((3, 3))), [2.0, 4.0])
         empty = ConstraintMap.from_triples(2, 3, [], [], [], [])
         np.testing.assert_array_equal(forward(empty, np.ones((3, 3))), np.zeros(2))
         assert lambda_max_AAt(empty) == 0.0

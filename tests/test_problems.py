@@ -99,6 +99,10 @@ class TestGenMaxcut:
         with pytest.raises(ValueError):
             gen_maxcut(1, n=4, m_edges=7)
 
+    def test_negative_edge_count_named(self):
+        with pytest.raises(ValueError, match="m_edges=-1"):
+            gen_maxcut(1, n=5, m_edges=-1)
+
     def test_deterministic(self):
         a = gen_maxcut(9, n=8, m_edges=10)
         b = gen_maxcut(9, n=8, m_edges=10)
@@ -150,6 +154,14 @@ class TestGenSnl:
         monkeypatch.setattr(problems_mod, "SNL_MAX_RETRIES", 3)
         with pytest.raises(RuntimeError, match="in 3 tries"):
             gen_snl(1, m_anchors=2, n_sensors=12, radius=1e-6, degree=3)
+
+    def test_negative_anchor_count_named(self):
+        with pytest.raises(ValueError, match="m_anchors"):
+            gen_snl(1, m_anchors=-1)
+        # no anchors is a valid geometry: sensor pairs and the identity rows
+        prob, truth = gen_snl(1, m_anchors=0, n_sensors=5)
+        assert len(truth.edges_ax) == 0
+        assert prob.m == len(truth.edges_xx) + 3 > 3
 
     @pytest.mark.parametrize("kwargs", [{"n_sensors": 0}, {"degree": 0}])
     def test_empty_sizes_rejected_before_sampling(self, kwargs, monkeypatch):

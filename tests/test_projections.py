@@ -8,9 +8,15 @@ import pdhgsdp.projections as projections_module
 import pdhgsdp.solver as solver_module
 from pdhgsdp.linalg import SymMat
 from pdhgsdp.operators import ConstraintMap
-from pdhgsdp.problems import SdpProblem, graph_laplacian
-from pdhgsdp.projections import approx_proj_psd, proj_psd, proj_psd_dense, proj_psd_packed
-from pdhgsdp.solver import SolveConfig, TuningFreePolicy, solve
+from pdhgsdp.problems import SdpProblem, gen_maxcut, graph_laplacian
+from pdhgsdp.projections import (
+    Layout,
+    approx_proj_psd,
+    proj_psd,
+    proj_psd_dense,
+    proj_psd_packed,
+)
+from pdhgsdp.solver import BalancedResidualPolicy, SolveConfig, TuningFreePolicy, solve
 
 
 def clipping_oracle(dense: np.ndarray) -> np.ndarray:
@@ -210,9 +216,9 @@ def block_matrix(rng, blocks):
 def packed_projection(blocks, mat):
     """The engine's projection of a matrix that is zero off ``blocks``: pack
     it, project the packed vector in place, unpack."""
-    layout = solver_module._Layout(blocks, mat.shape[0])
+    layout = Layout(blocks, mat.shape[0])
     x = layout.pack(mat)
-    proj_psd_packed(x, layout.groups)
+    proj_psd_packed(x, layout.runs)
     return layout.unpack(x)
 
 
@@ -234,7 +240,7 @@ class TestBlockProjection:
     def test_paths_by_block_size_and_run(self, monkeypatch):
         """Runs of two or more blocks below the crossover go through one
         batched eigendecomposition, every other block through dsyevx in place
-        on the packed vector itself."""
+        on the packed vector itself, in its run's own workspace."""
         if projections_module._DSYEVX is None:
             pytest.skip("numpy's LAPACK exports no dsyevx")
         batched, in_place = [], []
@@ -245,35 +251,38 @@ class TestBlockProjection:
             return eigh(stack)
 
         def spy_factor(ws, a):
-            in_place.append((a.shape[0], np.shares_memory(a, x)))
+            in_place.append((a.shape[0], np.shares_memory(a, x), id(ws)))
             return factor(ws, a)
 
         monkeypatch.setattr(projections_module, "_proj_psd_eigh", spy_eigh)
         monkeypatch.setattr(projections_module, "_positive_factor", spy_factor)
         monkeypatch.setattr(projections_module, "_BATCH_BELOW", 10)
         blocks = interleaved_blocks(np.random.default_rng(0), BLOCK_SIZES["big-and-small-runs"])
-        layout = solver_module._Layout(blocks, 53)
-        assert layout.groups == [(14, 1), (12, 2), (4, 3), (3, 1), (2, 1)]
+        layout = Layout(blocks, 53)
+        assert [(k, count) for k, count, _ in layout.runs] == \
+            [(14, 1), (12, 2), (4, 3), (3, 1), (2, 1)]
+        assert [ws is None for _, _, ws in layout.runs] == [False, False, True, False, False]
+        workspace_of = {k: id(ws) for k, _, ws in layout.runs}
         x = layout.pack(block_matrix(np.random.default_rng(1), blocks)[0])
-        proj_psd_packed(x, layout.groups)
+        proj_psd_packed(x, layout.runs)
         assert batched == [(3, 4, 4)]
-        assert in_place == [(14, True), (12, True), (12, True), (3, True), (2, True)]
+        assert in_place == [(k, True, workspace_of[k]) for k in (14, 12, 12, 3, 2)]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("where", ["big-block", "small-run", "isolated"])
     def test_non_finite_entry_raises(self, where, bad, solver_path):
         blocks = interleaved_blocks(np.random.default_rng(2), BLOCK_SIZES["big-and-small-runs"])
-        layout = solver_module._Layout(blocks, 53)
+        layout = Layout(blocks, 53)
         x = layout.pack(block_matrix(np.random.default_rng(3), blocks)[0])
         x[{"big-block": 1, "small-run": 14 * 14 + 2 * 12 * 12 + 5, "isolated": -1}[where]] = bad
         with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
-            proj_psd_packed(x, layout.groups)
+            proj_psd_packed(x, layout.runs)
 
     def test_rejects_a_vector_it_cannot_write_in_place(self):
         x = np.eye(4).ravel()
         for bad in (x[::2], x.astype(np.float32), x.reshape(4, 4)):
             with pytest.raises(ValueError, match="contiguous 1-D float64"):
-                proj_psd_packed(bad, [(2, 2)])
+                proj_psd_packed(bad, [(2, 2, None)])
 
 
 def test_threads_do_not_share_a_workspace():
@@ -303,47 +312,31 @@ def test_threads_do_not_share_a_workspace():
     assert errors == []
 
 
-class TestWorkspaceCache:
-    """Each thread keeps the dsyevx workspaces of its most recently used
-    dimensions, at most ``_Workspace.PER_THREAD`` of them."""
+def test_concurrent_solves_match_a_sequential_one():
+    """Each solve's layout owns its dsyevx workspaces, so solves of a
+    many-block max-cut running in four threads at once give the X_final of
+    a solve run alone, bit for bit."""
+    prob = gen_maxcut(2, n=80, m_edges=40)
+    config = SolveConfig(max_iters=300, tol=1e-300)
+    want = solve(prob, BalancedResidualPolicy(), config).X_final.dense
+    results = [None] * 4
 
-    CAP = projections_module._Workspace.PER_THREAD
+    def work(i):
+        results[i] = solve(prob, BalancedResidualPolicy(), config).X_final.dense
 
-    @pytest.fixture(autouse=True)
-    def fresh_cache(self, monkeypatch):
-        if projections_module._DSYEVX is None:
-            pytest.skip("numpy's LAPACK exports no dsyevx")
-        monkeypatch.setattr(projections_module, "_LOCAL", threading.local())
-
-    def test_keeps_the_most_recent_sizes(self):
-        rng = np.random.default_rng(11)
-        for n in range(1, 21):
-            proj_psd_dense(random_sym(rng, n).to_dense())
-            proj_psd_dense(random_sym(rng, 4).to_dense())  # 4 stays recent
-        cache = projections_module._LOCAL.cache
-        assert len(cache) == self.CAP
-        assert sorted(cache) == [4] + list(range(21 - self.CAP + 1, 21))
-
-    def test_outputs_match_a_fresh_workspace(self, monkeypatch):
-        rng = np.random.default_rng(12)
-        mats = [random_sym(rng, n).to_dense() for n in range(1, 21)]
-        # two rounds, so each size's workspace is evicted before its next use
-        churned = [proj_psd_dense(mat) for mat in mats + mats]
-        for i, mat in enumerate(mats):
-            monkeypatch.setattr(projections_module, "_LOCAL", threading.local())
-            fresh = proj_psd_dense(mat)
-            assert np.array_equal(churned[i], fresh)
-            assert np.array_equal(churned[i + len(mats)], fresh)
-
-    def test_one_size_reuses_its_workspace(self):
-        rng = np.random.default_rng(13)
-        mat = random_sym(rng, 7).to_dense()
-        first = proj_psd_dense(mat)
-        ws = projections_module._workspace(7)
-        for _ in range(3):
-            assert np.array_equal(proj_psd_dense(mat), first)
-        assert projections_module._workspace(7) is ws
-        assert list(projections_module._LOCAL.cache) == [7]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        np.testing.assert_array_equal(got, want)
 
 
 def cycle_maxcut(n):
@@ -364,8 +357,8 @@ def test_tf_cycle_maxcut_converges_under_permuted_projection(seed, monkeypatch):
     perm = np.random.default_rng(seed).permutation(n)
     back = np.argsort(perm)
 
-    def permuted(x, groups):
-        assert groups == [(n, 1)]  # one block, packed as X.ravel()
+    def permuted(x, runs):
+        assert [(k, count) for k, count, _ in runs] == [(n, 1)]  # packed as X.ravel()
         mat = x.reshape(n, n)
         mat[...] = proj_psd_dense(mat[np.ix_(perm, perm)])[np.ix_(back, back)]
 

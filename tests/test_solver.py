@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import astuple
 
 import numpy as np
@@ -18,7 +19,7 @@ from pdhgsdp.operators import (
     lambda_max_AAt,
 )
 from pdhgsdp.problems import SdpProblem, gen_maxcut, gen_random, gen_snl, graph_laplacian
-from pdhgsdp.projections import proj_psd, proj_psd_dense, proj_psd_packed
+from pdhgsdp.projections import Layout, proj_psd, proj_psd_dense, proj_psd_packed
 from pdhgsdp.solver import (
     POLICY_NAMES,
     BalancedResidualPolicy,
@@ -714,6 +715,21 @@ class TestSolveEngine:
             [row[:-1] for row in map(astuple, plain.rows)]  # all but wall_ms
         np.testing.assert_array_equal(written.X_final.dense, plain.X_final.dense)
 
+    def test_callback_writing_its_dual_leaves_the_solve_unchanged(self):
+        # the callback's y is a copy of the engine's dual iterate
+        def overwrite(k, x, y):
+            y[...] = 0.0
+
+        prob = gen_random(1, n=6, m=4)
+        plain = solve(prob, FixedPolicy(), SolveConfig(max_iters=20, tol=1e-300))
+        written = solve(prob, FixedPolicy(),
+                        SolveConfig(max_iters=20, tol=1e-300, callback=overwrite))
+        assert written.status == plain.status
+        assert [row[:-1] for row in map(astuple, written.rows)] == \
+            [row[:-1] for row in map(astuple, plain.rows)]  # all but wall_ms
+        np.testing.assert_array_equal(written.y_final, plain.y_final)
+        assert np.any(plain.y_final != 0.0)
+
     def test_iterates_stay_bitwise_symmetric(self):
         prob = small_rg(39)
         checks = []
@@ -778,11 +794,11 @@ class TestSolveErrors:
         # call per iteration)
         calls = []
 
-        def failing(x, groups):
+        def failing(x, runs):
             calls.append(None)
             if len(calls) == 4:
                 raise np.linalg.LinAlgError("eigenvalues did not converge")
-            proj_psd_packed(x, groups)
+            proj_psd_packed(x, runs)
 
         monkeypatch.setattr(solver_module, "proj_psd_packed", failing)
         with pytest.raises(SolveError) as excinfo:
@@ -832,8 +848,8 @@ class TestSolveErrors:
         # block, in the run of two 3-by-3 blocks, or among the isolated ones
         prob = split_maxcut()
         blocks = solver_module._aggregate_blocks(prob, np.zeros((prob.n, prob.n)))
-        layout = solver_module._Layout(blocks, prob.n)
-        assert layout.groups == [(38, 1), (3, 2), (2, 1)]
+        layout = Layout(blocks, prob.n)
+        assert run_sizes(layout.runs) == [(38, 1), (3, 2), (2, 1)]
         big = max(blocks, key=len)
         small = next(b for b in blocks if b.size == 3)
         lone = next(b[0] for b in blocks if b.size == 1)
@@ -877,6 +893,11 @@ class TestSolveErrors:
         else:
             trace = solve(small_rg(41), SeededBalancing(), cfg)
         assert trace.flags == {"degenerate_cosine": 3}  # no policy-internal "eps"
+
+
+def run_sizes(runs):
+    """The (size, count) of each run of a projection plan."""
+    return [(k, count) for k, count, _ in runs]
 
 
 def split_maxcut():
@@ -1080,18 +1101,19 @@ class TestOperatorApplications:
 
 @pytest.mark.parametrize("name", ENGINE_POLICIES)
 def test_one_projection_per_iteration(name, monkeypatch):
-    """The engine reaches the projections module only through its
+    """The engine reaches the projections module's functions only through its
     module-level ``proj_psd_packed``, once per iteration whatever the blocks,
-    so wrapping that name sees every projection."""
+    so wrapping that name sees every projection; the ``Layout`` class it
+    also imports makes the plan, and projects nothing."""
     projections = [attr for attr, obj in vars(solver_module).items()
-                   if getattr(obj, "__module__", None) == "pdhgsdp.projections"]
+                   if inspect.isfunction(obj) and obj.__module__ == "pdhgsdp.projections"]
     assert projections == ["proj_psd_packed"]
     calls = []
     original = solver_module.proj_psd_packed
 
-    def counting(x, groups):
-        calls.append((x.size, list(groups)))
-        original(x, groups)
+    def counting(x, runs):
+        calls.append((x.size, run_sizes(runs)))
+        original(x, runs)
 
     monkeypatch.setattr(solver_module, "proj_psd_packed", counting)
     iters = 25
@@ -1185,9 +1207,8 @@ def test_hooks_read_the_adjoint_on_the_support():
     prob = gen_maxcut(2, n=80, m_edges=40)
     cmap = prob.constraints
     assert cmap.coo is not None
-    layout = solver_module._Layout(
-        solver_module._aggregate_blocks(prob, np.zeros((prob.n, prob.n))), prob.n)
-    assert len(layout.groups) > 1
+    layout = Layout(solver_module._aggregate_blocks(prob, np.zeros((prob.n, prob.n))), prob.n)
+    assert len(layout.runs) > 1
     support = cmap.packed(layout.index, np.flatnonzero(layout.pack(prob.C.dense))).support
     assert support.size < layout.index.size
 
@@ -1259,8 +1280,7 @@ def test_iterates_match_old_dense_formula(name, family, monkeypatch):
     make, form = PARITY_PROBLEMS[family]
     prob = make()
     assert (prob.constraints.coo is None) == (form == "dense")
-    layout = solver_module._Layout(
-        solver_module._aggregate_blocks(prob, np.zeros((prob.n, prob.n))), prob.n)
+    layout = Layout(solver_module._aggregate_blocks(prob, np.zeros((prob.n, prob.n))), prob.n)
     calls, mismatches = [0], []  # mismatching calls, by number
 
     def lockstep(packed, old, before, after):
@@ -1411,8 +1431,8 @@ def test_matches_dense_reference_solve(name, case):
     make, one_block = REFERENCE_CORPUS[case]
     prob, x0, y0 = make()
     if case == "mc-start":
-        assert solver_module._Layout(solver_module._aggregate_blocks(prob, x0),
-                                     prob.n).groups == [(38, 1), (3, 2), (2, 2)]
+        assert run_sizes(Layout(solver_module._aggregate_blocks(prob, x0),
+                                prob.n).runs) == [(38, 1), (3, 2), (2, 2)]
     shapes = set()
     config = SolveConfig(max_iters=4000, X0=x0, y0=y0,
                          callback=lambda k, x, y: shapes.add((x.shape, y.shape)))
