@@ -65,7 +65,7 @@ def _problem_from_args(args):
 
 def cmd_solve(args) -> int:
     problem = _problem_from_args(args)
-    policy = make_policy(args.policy, **_given(args, ("eps0", "eta", "s", "mu", "eps")))
+    policy = make_policy(args.policy, **_given(args, ("eta", "s")))
     config = SolveConfig(**_given(args, ("max_iters", "tol")))
     try:
         trace = solve(problem, policy, config)
@@ -175,12 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, help="snl radius")
     p.add_argument("--degree", type=int, help="snl neighbor cap")
     p.add_argument("--p", type=int, help="snl ambient dimension")
-    p.add_argument("--eps0", type=float, help="initial epsilon for bpdr/alv")
     p.add_argument("--eta", type=float, help="epsilon decay for bpdr/alv")
     p.add_argument("--s", type=float, help="linesearch dual/primal stepsize ratio")
-    p.add_argument("--mu", type=float, help="linesearch backtracking shrink")
-    p.add_argument("--eps-tf", dest="eps", type=float,
-                   help="tf spectral bound; default lambda_max*(1+1e-6)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", help="seed sweep; writes table.csv and per-run traces")

@@ -86,11 +86,6 @@ class SnlGroundTruth:
         return SymMat(z)
 
 
-def _symmetrized_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = rng.standard_normal((n, n))
-    return 0.5 * (g + g.T)
-
-
 def gen_random(seed: int, n: int = 50, m: int = 50) -> SdpProblem:
     """Random feasible instance.
 
@@ -103,7 +98,7 @@ def gen_random(seed: int, n: int = 50, m: int = 50) -> SdpProblem:
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     rng = np.random.default_rng(seed)
-    mats = tuple(SymMat(_symmetrized_gaussian(rng, n)) for _ in range(m))
+    mats = tuple(SymMat(rng.standard_normal((n, n))) for _ in range(m))
     cmap = ConstraintMap(mats)
 
     g = rng.standard_normal((n, n))
@@ -147,6 +142,8 @@ def gen_maxcut(
     the all-ones rank-one matrix); ``negate_objective`` flips the sign of the
     objective for a nontrivial variant.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     max_edges = n * (n - 1) // 2
     if not 0 <= m_edges <= max_edges:
         raise ValueError(f"m_edges={m_edges} edges infeasible for n={n} (0 to {max_edges})")

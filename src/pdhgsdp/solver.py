@@ -293,7 +293,8 @@ class FixedPolicy(StepsizePolicy):
 class _BalancingBase(StepsizePolicy):
     """Shared three-branch update after iteration k: grow alpha to
     alpha/(1-eps_k), hold it, or shrink it to alpha (1-eps_k), with the
-    geometrically decaying eps_k = eps0 eta^k.
+    geometrically decaying eps_k = eps0 eta^k. eps0 is fixed; eta, the one
+    value the paper tunes (``grid_search_eta``), is settable.
 
     The start is fixed's product R split in the units of the constraint rows:
     alpha_0 = sqrt(R) rho and beta_0 = R/alpha_0, with rho the RMS Frobenius
@@ -305,12 +306,11 @@ class _BalancingBase(StepsizePolicy):
     d, and d carries the units of the rows.
     """
 
-    def __init__(self, eps0: float = 0.5, eta: float = 0.95):
-        if not 0 < eps0 < 1:
-            raise ValueError(f"eps0 must lie in (0,1), got {eps0}")
+    eps0 = 0.5
+
+    def __init__(self, eta: float = 0.95):
         if not 0 < eta < 1:
             raise ValueError(f"eta must lie in (0,1), got {eta}")
-        self.eps0 = eps0
         self.eta = eta
 
     def initial_state(self, problem: SdpProblem) -> StepsizeState:
@@ -380,8 +380,8 @@ class LinesearchPolicy(StepsizePolicy):
     alpha_k = alpha_{k-1} sqrt(1 + theta_{k-1}) (the top of the admissible
     interval) with beta_k = s alpha_k and theta_k = alpha_k/alpha_{k-1};
     while ||A^T(y_trial - y)||_F > ||y_trial - y|| / (sqrt(s) alpha_k), shrink
-    alpha_k by mu and retry. The accepted alpha_k is also the next primal
-    stepsize.
+    alpha_k by the fixed factor mu and retry. The accepted alpha_k is also the
+    next primal stepsize. Only s, which the paper tunes, is settable.
 
     Every trial step is y_trial - y = beta (u + theta v) with the fixed
     vectors u = A(X^{k+1}) - b and v = A(X^{k+1}) - A(X^k), so A^T is applied
@@ -391,13 +391,11 @@ class LinesearchPolicy(StepsizePolicy):
     name = "ls"
 
     max_backtracks = 60
+    mu = 0.7
 
-    def __init__(self, s: float = 1.0, mu: float = 0.7):
+    def __init__(self, s: float = 1.0):
         _require_positive("s", s)
-        if not 0 < mu < 1:
-            raise ValueError(f"mu must lie in (0,1), got {mu}")
         self.s = s
-        self.mu = mu
 
     def initial_state(self, problem: SdpProblem) -> StepsizeState:
         lam = lambda_max_AAt(problem.constraints)
@@ -440,7 +438,9 @@ class TuningFreePolicy(StepsizePolicy):
 
     The engine pairs alpha_k with beta_k = R/alpha_k, R = 1/eps, and the
     realized ratio theta_k = alpha_k/alpha_{k-1}, which tends to 1 as w_k
-    vanishes. A vanishing clamp denominator maps to theta_max and bumps the
+    vanishes. tf takes no parameter: eps = lambda_max(AA^T)(1 + 1e-6) keeps
+    R strictly below 1/lambda_max(AA^T), and a zero map raises. A vanishing
+    clamp denominator maps to theta_max and bumps the
     ``tf_zero_denominator`` counter; if ||X^k|| is zero too, the ratio is 0/0
     and counts as 1, its value from the zero start wherever it is defined.
     That is the first step from the zero start when Proj_PSD(-alpha C) = 0
@@ -455,22 +455,10 @@ class TuningFreePolicy(StepsizePolicy):
     alpha_init = 1.0
     _EPS_MARGIN = 1.0 + 1e-6
 
-    def __init__(self, eps: float | None = None):
-        if eps is not None:
-            _require_positive("eps", eps)
-        self.eps = eps
-
     def initial_state(self, problem: SdpProblem) -> StepsizeState:
-        lam = lambda_max_AAt(problem.constraints)
-        floor = lam * self._EPS_MARGIN
-        eps = floor if self.eps is None else self.eps
-        if eps < floor:
-            raise ValueError(
-                f"eps = {eps} must be at least lambda_max*(1+1e-6) = {floor} "
-                "so the preserved product stays strictly admissible"
-            )
+        eps = lambda_max_AAt(problem.constraints) * self._EPS_MARGIN
         if eps == 0.0:
-            raise ValueError(f"{_ZERO_MAP}: it sets no eps, so pass tf an eps > 0")
+            raise ValueError(f"{_ZERO_MAP}: it sets no eps")
         return StepsizeState.start(self.alpha_init, 1.0 / eps)
 
     def adjust_mid(self, problem, it, x_new, ss):

@@ -72,9 +72,9 @@ class TestBenchConfig:
         assert labels == ["ls_s0.1", "ls_s0.2", "ls_s1", "ls_s10"]
 
     def test_policy_params_forwarded(self):
-        cfg = tiny_config(policies=("bpdr",), policy_params={"bpdr": {"eps0": 0.25}})
+        cfg = tiny_config(policies=("bpdr",), policy_params={"bpdr": {"eta": 0.25}})
         (_, factory), = cfg.policy_factories()
-        assert factory().eps0 == 0.25
+        assert factory().eta == 0.25
 
 
 class TestMakeProblem:

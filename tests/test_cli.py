@@ -116,6 +116,25 @@ class TestSolveCommand:
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("flags", [
+        ("--policy", "bpdr", "--eps0", "0.5"),
+        ("--policy", "ls", "--mu", "0.5"),
+        ("--policy", "tf", "--eps-tf", "2"),
+    ], ids=["eps0", "mu", "eps-tf"])
+    def test_fixed_constant_flag_exit_one(self, tmp_path, capsys, flags):
+        # only eta (bpdr, alv) and s (ls) are settable; tf takes nothing
+        code = run_cli("solve", "--problem", "rg", "--max-iters", "5",
+                       "--out", str(tmp_path / "t.csv"), *flags)
+        assert code == 1
+        assert f"unrecognized arguments: {' '.join(flags[2:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_maxcut_size_named(self, tmp_path, capsys, n):
+        code = run_cli("solve", "--problem", "mc", "--policy", "bpdr", "--n", n,
+                       "--m", "0", "--out", str(tmp_path / "t.csv"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: need n >= 1, got n={n}")
+
+    @pytest.mark.parametrize("flags", [
         ("--degree", "0"),  # once resampled 50 geometries, then a traceback
         ("--n", "0"),  # once solved a 2x2 instance with no sensor
         ("--radius", "1e-6"),  # a geometry that never connects
@@ -130,15 +149,15 @@ class TestSolveCommand:
         (("--problem", "rg", "--policy", "fixed", "--tol", "nan"), "tol"),
         (("--problem", "rg", "--policy", "ls", "--s", "nan"), "s"),
         (("--problem", "rg", "--policy", "ls", "--s", "inf"), "s"),
-        (("--problem", "rg", "--policy", "tf", "--eps-tf", "inf"), "eps"),
+        (("--problem", "rg", "--policy", "bpdr", "--eta", "nan"), "eta"),
         (("--problem", "snl", "--policy", "fixed", "--radius", "nan"), "radius"),
-    ], ids=["tol-nan", "s-nan", "s-inf", "eps-tf-inf", "radius-nan"])
+    ], ids=["tol-nan", "s-nan", "s-inf", "eta-nan", "radius-nan"])
     def test_non_finite_value_exit_one(self, tmp_path, capsys, flags, param):
         # each once ran to the cap, failed mid-solve or resampled geometries
         code = run_cli("solve", "--max-iters", "5", "--out", str(tmp_path / "t.csv"),
                        *flags)
         assert code == 1
-        assert capsys.readouterr().err.startswith(f"error: {param} must be")
+        assert capsys.readouterr().err.startswith(f"error: {param} must")
 
 
 def strip_wall_ms(text):
@@ -149,7 +168,7 @@ def test_library_keyword_flags_default_to_none():
     """Flags that set a library keyword restate no default. verify's --n and
     --m are its own small sizes for the lifted oracle, not gen_random's."""
     keyword_flags = {
-        "solve": {"eps0", "eta", "s", "mu", "eps", "n", "m", "radius", "degree", "p",
+        "solve": {"eta", "s", "n", "m", "radius", "degree", "p",
                   "max_iters", "tol"},
         "bench": {"families", "seeds", "policies", "tol"},
         "verify": {"tol"},
@@ -246,9 +265,10 @@ class TestBenchCommand:
         '{"budgets": [100]}',
         '{"seed": 1}',
         '[{"families": ["rg"]}]',
-        '{"policy_params": {"bpdr": {"eps0": "0.3"}}}',
+        '{"policy_params": {"bpdr": {"eta": "0.3"}}}',
+        '{"policy_params": {"tf": {"eps": 2.0}}}',
     ], ids=["seeds-string", "foreign-policy-param", "budgets-list", "unknown-key",
-            "top-level-array", "param-of-wrong-type"])
+            "top-level-array", "param-of-wrong-type", "tf-eps"])
     def test_malformed_config_exit_one(self, tmp_path, capsys, monkeypatch, text):
         def no_instances(*args):
             raise AssertionError("an instance was generated")

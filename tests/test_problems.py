@@ -103,6 +103,11 @@ class TestGenMaxcut:
         with pytest.raises(ValueError, match="m_edges=-1"):
             gen_maxcut(1, n=5, m_edges=-1)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_non_positive_size_named(self, n):
+        with pytest.raises(ValueError, match=f"need n >= 1, got n={n}"):
+            gen_maxcut(1, n=n, m_edges=0)
+
     def test_deterministic(self):
         a = gen_maxcut(9, n=8, m_edges=10)
         b = gen_maxcut(9, n=8, m_edges=10)

@@ -263,7 +263,7 @@ class TestBalancedResidualPolicy:
     def test_grow_branch_doubles_alpha(self):
         # p = 10 d with eps = 0.5: alpha doubles, so beta halves
         prob = small_rg(14)
-        pol = BalancedResidualPolicy(eps0=0.5)
+        pol = BalancedResidualPolicy()
         ss = self._state(alpha=0.5, beta=0.8)
         rep = ResidualReport(10.0, 1.0, 101.0)
         alpha = pol.adjust_post(prob, self._iterate(prob), None, None, rep, ss)
@@ -274,7 +274,7 @@ class TestBalancedResidualPolicy:
 
     def test_shrink_branch(self):
         prob = small_rg(15)
-        pol = BalancedResidualPolicy(eps0=0.5)
+        pol = BalancedResidualPolicy()
         ss = self._state(alpha=1.0, beta=0.4)
         rep = ResidualReport(0.1, 1.0, 1.01)
         alpha = pol.adjust_post(prob, self._iterate(prob), None, None, rep, ss)
@@ -291,7 +291,7 @@ class TestBalancedResidualPolicy:
 
     def test_epsilon_decays_geometrically(self):
         # the shrink branch after iteration k returns alpha (1 - eps0 eta^k)
-        pol = BalancedResidualPolicy(eps0=0.5, eta=0.95)
+        pol = BalancedResidualPolicy(eta=0.95)
         prob = small_rg(17)
         ss = self._state(alpha=1.0, beta=0.4)
         rep = ResidualReport(0.1, 1.0, 1.01)
@@ -307,9 +307,9 @@ class TestBalancedResidualPolicy:
         assert pol._branch(None, None, None, rep, None) == branch
 
     def test_param_validation(self):
-        for bad in ({"eps0": 0.0}, {"eps0": 1.0}, {"eta": 0.0}, {"eta": 1.0}):
-            with pytest.raises(ValueError):
-                BalancedResidualPolicy(**bad)
+        for eta in (0.0, 1.0):
+            with pytest.raises(ValueError, match="eta"):
+                BalancedResidualPolicy(eta=eta)
 
 
 class TestGradientAlignmentPolicy:
@@ -322,9 +322,9 @@ class TestGradientAlignmentPolicy:
         prob = SdpProblem(SymMat.zeros(2), cmap, np.zeros(2), {})
         return prob, dx
 
-    def _run_branch(self, prob, dx, delta_y, eps0=0.5):
+    def _run_branch(self, prob, dx, delta_y):
         """The stepsize the hook returns from alpha = 1."""
-        pol = GradientAlignmentPolicy(eps0=eps0)
+        pol = GradientAlignmentPolicy()
         ss = StepsizeState(alpha=1.0, beta=1.0, theta=1.0, R=1.0)
         x_new = np.zeros((2, 2))
         it = iterate_state(prob, dx.copy(), np.zeros(2))
@@ -428,9 +428,9 @@ class TestZeroConstraintMap:
             solve(prob, every_policy(name, prob), SolveConfig(max_iters=1))
 
     def test_given_stepsizes_still_run(self):
-        for policy in (TuningFreePolicy(eps=1.0), SchedulePolicy(lambda k: 1.0, R=1.0)):
-            trace = solve(zero_map_problem(), policy, SolveConfig(max_iters=2))
-            assert trace.status == "converged"  # X = 0 is optimal
+        policy = SchedulePolicy(lambda k: 1.0, R=1.0)
+        trace = solve(zero_map_problem(), policy, SolveConfig(max_iters=2))
+        assert trace.status == "converged"  # X = 0 is optimal
 
 
 class TestLinesearchPolicy:
@@ -451,7 +451,8 @@ class TestLinesearchPolicy:
         # for the diag map, acceptance iff alpha <= 1/sqrt(s)
         prob = gen_maxcut(1, n=4, m_edges=3)
         s = 4.0
-        pol = LinesearchPolicy(s=s, mu=0.5)
+        pol = LinesearchPolicy(s=s)
+        pol.mu = 0.5
         ss = pol.initial_state(prob)
         ss.alpha, ss.theta = 1.0, 1.0  # first trial sqrt(2) > 1/2
         rng = np.random.default_rng(20)
@@ -477,12 +478,12 @@ class TestLinesearchPolicy:
 
     def test_geometric_shrink_two_failures(self):
         prob = gen_maxcut(2, n=4, m_edges=3)
-        mu = 0.7
+        mu = LinesearchPolicy.mu
         # theta0 = 1, alpha0 chosen so exactly two shrinks are needed:
         # trial = a0*sqrt(2) fails, a0*sqrt(2)*0.7 fails, a0*sqrt(2)*0.49 passes
         s = 1.0
         a0 = 1.5 / np.sqrt(2.0)
-        pol = LinesearchPolicy(s=s, mu=mu)
+        pol = LinesearchPolicy(s=s)
         ss = pol.initial_state(prob)
         ss.alpha = a0
         rng = np.random.default_rng(21)
@@ -495,7 +496,7 @@ class TestLinesearchPolicy:
         # on the diag map a trial passes iff alpha <= 1/sqrt(s) = 1/2, and the
         # first one is 0.9/sqrt(s) * sqrt(2) > 1/2
         prob = gen_maxcut(3, n=4, m_edges=3)
-        pol = LinesearchPolicy(s=4.0, mu=0.99)
+        pol = LinesearchPolicy(s=4.0)
         pol.max_backtracks = 0
         ss = pol.initial_state(prob)
         rng = np.random.default_rng(22)
@@ -506,17 +507,16 @@ class TestLinesearchPolicy:
 
     def test_stall_inside_solve_carries_trace(self):
         prob = gen_maxcut(4, n=4, m_edges=3)
-        pol = LinesearchPolicy(s=4.0, mu=0.99)
+        pol = LinesearchPolicy(s=4.0)
         pol.max_backtracks = 0
         with pytest.raises(SolveError) as excinfo:
             solve(prob, pol, SolveConfig(max_iters=10))
         assert excinfo.value.trace.status == "error"
 
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            LinesearchPolicy(s=0.0)
-        with pytest.raises(ValueError):
-            LinesearchPolicy(s=1.0, mu=1.0)
+        for s in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="s must be"):
+                LinesearchPolicy(s=s)
 
 
 class TestTuningFreePolicy:
@@ -584,12 +584,10 @@ class TestTuningFreePolicy:
         ss.move_to(alpha)
         assert ss.theta == pytest.approx(2.0, rel=1e-14)  # realized ratio
 
-    def test_eps_floor_enforced(self):
+    def test_product_sits_just_below_the_spectral_bound(self):
         prob = gen_maxcut(1, n=4, m_edges=3)  # lambda_max = 1
-        with pytest.raises(ValueError):
-            solve(prob, TuningFreePolicy(eps=1.0), SolveConfig(max_iters=1))
-        trace = solve(prob, TuningFreePolicy(eps=2.0), SolveConfig(max_iters=5))
-        assert trace.iterations == 5
+        ss = TuningFreePolicy().initial_state(prob)
+        assert ss.R == 1.0 / (1.0 + 1e-6)
 
 
 class TestSchedulePolicy:
@@ -748,8 +746,9 @@ class TestSolveEngine:
         assert trace.status == "converged"
 
     def test_default_hyperparameters(self):
-        assert BalancedResidualPolicy().eps0 == 0.5
+        assert BalancedResidualPolicy.eps0 == 0.5
         assert BalancedResidualPolicy().eta == 0.95
+        assert LinesearchPolicy.mu == 0.7
         assert GradientAlignmentPolicy().cosine_threshold == 0.99
         assert TuningFreePolicy.theta_min == 1e-5
         assert TuningFreePolicy.theta_max == 1e5
@@ -1240,7 +1239,7 @@ def test_hooks_read_the_adjoint_on_the_support():
 
 def test_make_policy_dispatch():
     assert make_policy("fixed").name == "fixed"
-    assert make_policy("bpdr", eps0=0.25).eps0 == 0.25
+    assert make_policy("bpdr", eta=0.25).eta == 0.25
     assert make_policy("alv").name == "alv"
     assert make_policy("ls", s=0.5).s == 0.5
     assert make_policy("tf").name == "tf"
@@ -1248,6 +1247,10 @@ def test_make_policy_dispatch():
         make_policy("nope")
     with pytest.raises(ValueError, match="'s'"):
         make_policy("tf", s=1.0)
+    # only eta (bpdr, alv) and s (ls) are settable; tf takes nothing
+    for name, keyword in (("tf", "eps"), ("ls", "mu"), ("bpdr", "eps0"), ("alv", "eps0")):
+        with pytest.raises(ValueError, match=f"policy '{name}'.*'{keyword}'"):
+            make_policy(name, **{keyword: 0.5})
 
 
 def old_dense_formula(prob):
