@@ -108,13 +108,17 @@ class BenchConfig:
                 if not _fits(value, default):
                     raise ValueError(f"sizes for {family}: {key} must be of type "
                                      f"{type(default).__name__}, got {value!r}")
-        for name in (*self.policies, *self.policy_params):
+        names = dict.fromkeys((*self.policies, *self.policy_params))
+        for name in names:
             if name not in POLICY_NAMES:
                 raise ValueError(f"unknown policy {name!r}")
         if "s" in self.policy_params.get("ls", {}):
             raise ValueError("ls takes its s from ls_s_grid, not from policy_params")
-        for _, factory in self.policy_factories():
-            factory()  # make_policy rejects a bad parameter before any solve
+        # make_policy rejects a bad parameter before any solve, also one given
+        # for a policy this sweep does not run
+        for name in names:
+            for _, factory in self._factories(name):
+                factory()
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "BenchConfig":
@@ -133,16 +137,14 @@ class BenchConfig:
     def policy_factories(self) -> list[tuple[str, Callable[[], StepsizePolicy]]]:
         """Expand the policy list; the linesearch entry fans out over its
         s-grid with labels like "ls_s0.2"."""
-        out: list[tuple[str, Callable[[], StepsizePolicy]]] = []
-        for name in self.policies:
-            kwargs = self.policy_params.get(name, {})
-            if name == "ls":
-                for s in self.ls_s_grid:
-                    factory = partial(make_policy, name, s=s, **kwargs)
-                    out.append((f"ls_s{s:g}", factory))
-            else:
-                out.append((name, partial(make_policy, name, **kwargs)))
-        return out
+        return [entry for name in self.policies for entry in self._factories(name)]
+
+    def _factories(self, name: str) -> list[tuple[str, Callable[[], StepsizePolicy]]]:
+        kwargs = self.policy_params.get(name, {})
+        if name == "ls":
+            return [(f"ls_s{s:g}", partial(make_policy, name, s=s, **kwargs))
+                    for s in self.ls_s_grid]
+        return [(name, partial(make_policy, name, **kwargs))]
 
 
 @dataclass(frozen=True)

@@ -79,8 +79,14 @@ def drs_step(
     """One non-stationary splitting step with ratio alpha_k/alpha_prev."""
     if alpha_k <= 0 or alpha_prev <= 0:
         raise ValueError("stepsizes must be positive")
-    theta = alpha_k / alpha_prev
-    f, f_hat = resolvent_f(state.Z, state.Z_hat, alpha_prev, problem)
+    f = resolvent_f(state.Z, state.Z_hat, alpha_prev, problem)
+    return _step_from(problem, lifted, state, f, alpha_k / alpha_prev)
+
+
+def _step_from(problem, lifted, state, f_pair, theta) -> LiftedState:
+    """The rest of a splitting step with ratio ``theta``, given the state's
+    resolvent ``f_pair`` = J_f(Z, Z_hat)."""
+    f, f_hat = f_pair
     v = f + theta * (f - state.Z)
     v_hat = f_hat + theta * (f_hat - state.Z_hat)
     g, g_hat = resolvent_g(v, v_hat, problem, lifted)
@@ -140,9 +146,9 @@ def check_equivalence(
         # the engine's 0-based iteration j yields (X^k, y^k) with k = j + 1
         nonlocal state, max_x, max_z
         k = j + 1
-        f, _ = resolvent_f(state.Z, state.Z_hat, a(k - 1), problem)
-        max_x = max(max_x, float(np.linalg.norm(f - x)))
-        state = drs_step(problem, lifted, state, a(k), a(k - 1))
+        f_pair = resolvent_f(state.Z, state.Z_hat, a(k - 1), problem)
+        max_x = max(max_x, float(np.linalg.norm(f_pair[0] - x)))
+        state = _step_from(problem, lifted, state, f_pair, a(k) / a(k - 1))
         max_z = max(
             max_z,
             float(np.linalg.norm(state.Z - (x - a(k) * adjoint(cmap, y)))),

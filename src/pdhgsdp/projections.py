@@ -18,6 +18,7 @@ such block, on a copy.
 from __future__ import annotations
 
 import ctypes
+import math
 
 import numpy as np
 
@@ -163,7 +164,9 @@ def proj_psd_packed(x: np.ndarray, runs) -> None:
     """
     if x.dtype != np.float64 or x.ndim != 1 or not x.flags.c_contiguous:
         raise ValueError("expected a contiguous 1-D float64 array")
-    if not np.isfinite(x).all():
+    # x.x is finite when every entry is, unless it overflows: only then, or
+    # on a non-finite entry, is the exact pass needed
+    if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
         raise np.linalg.LinAlgError("matrix has non-finite entries")
     start = 0
     for k, count, ws in runs:
@@ -173,20 +176,24 @@ def proj_psd_packed(x: np.ndarray, runs) -> None:
             stack[...] = _proj_psd_eigh(stack)
         else:
             for block in stack:
-                v = _positive_factor(ws, block)
-                np.matmul(v, v.T, out=block)
+                vt = _positive_factor(ws, block)
+                # np.dot forms a rank-1 product faster than np.matmul does, and
+                # both give each entry as one rounded product
+                (np.dot if len(vt) == 1 else np.matmul)(vt.T, vt, out=block)
         start = stop
-    np.maximum(x[start:], 0.0, out=x[start:])
+    if start < x.size:
+        np.maximum(x[start:], 0.0, out=x[start:])
 
 
 def _positive_factor(ws: _Workspace, a: np.ndarray) -> np.ndarray:
-    """V with V V^T the PSD projection of the matrix in the buffer ``a``,
-    which dsyevx reads in column-major order and overwrites."""
-    _DSYEVX(*ws.head, a.ctypes.data, *ws.tail)
+    """V^T, C-contiguous, with V V^T the PSD projection of the matrix in the
+    buffer ``a``, which dsyevx reads in column-major order and overwrites."""
+    # the buffer's address; a.ctypes.data takes 4x as long to read
+    _DSYEVX(*ws.head, ctypes.addressof(ctypes.c_char.from_buffer(a)), *ws.tail)
     if ws.info[0] != 0:
         raise np.linalg.LinAlgError(f"dsyevx failed with INFO={ws.info[0]}")
     k = int(ws.m[0])
-    return ws.z[:, :k] * np.sqrt(ws.w[:k])
+    return ws.z[:, :k].T * np.sqrt(ws.w[:k])[:, np.newaxis]
 
 
 def _proj_psd_eigh(stack: np.ndarray) -> np.ndarray:

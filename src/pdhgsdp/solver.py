@@ -20,8 +20,8 @@ it (:meth:`StepsizeState.move_to`).
 ``dual_update`` may take over the dual step entirely: the backtracking
 linesearch, whose product alpha*beta moves by design. Hooks read the cached
 products from :class:`IterateState` and never apply an operator themselves;
-the linesearch is the one exception, with two A^T applications per iteration
-that serve all of its backtracking trials.
+the linesearch is the one exception, with one A^T application per iteration
+that serves all of its backtracking trials.
 
 The engine iterates on the blocks of the aggregate sparsity pattern: the
 off-diagonal nonzeros of C, of every A_i and of X_0 join their indices into
@@ -197,16 +197,23 @@ class SolveConfig:
 # --- residuals and stopping -------------------------------------------------
 
 
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a real array, bit for bit: the square root of the
+    raveled array's dot product with itself, which is what it computes."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 def _residual_report(dx, dy, at_dy, a_dx, alpha: float, beta: float, support=slice(None)):
     """Report on the primal residual dx/alpha - A^T(dy) and the dual residual
     vector dy/beta - A(dx), for dx = X^k - X^{k+1} and dy = y^k - y^{k+1},
     with A^T(dy) given at the positions ``support`` of dx, and zero off them;
-    also returns the primal residual."""
-    p_mat = dx / alpha
-    p_mat[support] -= at_dy
-    p = float(np.linalg.norm(p_mat))
-    d = float(np.linalg.norm(dy / beta - a_dx))
-    return ResidualReport(p_norm=p, d_norm=d, combined=p * p + d * d), p_mat
+    also returns the primal residual, formed in the array ``dx``."""
+    dx /= alpha
+    dx[support] -= at_dy
+    p = _norm(dx)
+    d = _norm(dy / beta - a_dx)
+    return ResidualReport(p_norm=p, d_norm=d, combined=p * p + d * d), dx
 
 
 def residuals(
@@ -309,8 +316,8 @@ class _BalancingBase(StepsizePolicy):
     eps0 = 0.5
 
     def __init__(self, eta: float = 0.95):
-        if not 0 < eta < 1:
-            raise ValueError(f"eta must lie in (0,1), got {eta}")
+        if isinstance(eta, bool) or not isinstance(eta, numbers.Real) or not 0 < eta < 1:
+            raise ValueError(f"eta must be a real number in (0, 1), got {eta!r}")
         self.eta = eta
 
     def initial_state(self, problem: SdpProblem) -> StepsizeState:
@@ -360,8 +367,8 @@ class GradientAlignmentPolicy(_BalancingBase):
 
     def _branch(self, it, x_new, p_mat, report, ss) -> int:
         dx = it.X_cur - x_new
-        ndx = float(np.linalg.norm(dx))
-        npm = float(np.linalg.norm(p_mat))
+        ndx = _norm(dx)
+        npm = _norm(p_mat)
         if ndx == 0.0 or npm == 0.0:
             ss.counts["degenerate_cosine"] = ss.counts.get("degenerate_cosine", 0) + 1
             return 0
@@ -384,8 +391,17 @@ class LinesearchPolicy(StepsizePolicy):
     next primal stepsize. Only s, which the paper tunes, is settable.
 
     Every trial step is y_trial - y = beta (u + theta v) with the fixed
-    vectors u = A(X^{k+1}) - b and v = A(X^{k+1}) - A(X^k), so A^T is applied
-    to u and v once and each trial combines the two products.
+    vectors u = A(X^{k+1}) - b and v = A(X^{k+1}) - A(X^k). By linearity
+    A^T(u) = A^T(A(X^{k+1})) - A^T(b) and A^T(v) = A^T(A(X^{k+1})) - A^T(A(X^k)),
+    so one A^T application per iteration serves them: A^T(b) is formed once
+    per solve (kept with the adjoint that formed it), and A^T(A(X^k)) is the
+    previous call's product whenever the engine hands back that call's
+    A(X^{k+1}) as ``it.AX``. Otherwise (the first iteration, or a call from
+    outside the engine) A^T is applied to u and v. Squared, and with beta^2
+    cancelled, the test reads
+    ||A^T(u) + theta A^T(v)||^2 <= ||u + theta v||^2 / (s alpha_k^2), two
+    quadratics in theta whose six coefficients are inner products formed
+    once; only the accepted trial forms y^{k+1} and A^T(y^{k+1}).
     """
 
     name = "ls"
@@ -396,6 +412,8 @@ class LinesearchPolicy(StepsizePolicy):
     def __init__(self, s: float = 1.0):
         _require_positive("s", s)
         self.s = s
+        self._atb = (None, None)  # (the adjoint that formed it, A^T(b))
+        self._last = (None, None)  # (A(X^{k+1}), A^T(A(X^{k+1}))) of the last call
 
     def initial_state(self, problem: SdpProblem) -> StepsizeState:
         lam = lambda_max_AAt(problem.constraints)
@@ -407,21 +425,31 @@ class LinesearchPolicy(StepsizePolicy):
     def dual_update(self, problem, it, x_new, ax_new, ss):
         u = ax_new - problem.b
         v = ax_new - it.AX
-        at_u = it.adjoint(u)
-        at_v = it.adjoint(v)
+        adjoint_of, atb = self._atb
+        if adjoint_of is not it.adjoint:
+            atb = it.adjoint(problem.b)
+            self._atb = (it.adjoint, atb)
+        last_ax, at_ax = self._last
+        if last_ax is it.AX:
+            at_ax_new = it.adjoint(ax_new)
+            at_u, at_v = at_ax_new - atb, at_ax_new - at_ax
+        else:
+            at_u, at_v = it.adjoint(u), it.adjoint(v)
+            at_ax_new = at_u + atb
+        self._last = (ax_new, at_ax_new)
+        uu, uv, vv = float(u.dot(u)), float(u.dot(v)), float(v.dot(v))
+        p, q = at_u.ravel(), at_v.ravel()  # n-by-n where hooks are called so
+        pp, pq, qq = float(p.dot(p)), float(p.dot(q)), float(q.dot(q))
         alpha_prev = ss.alpha
         a = alpha_prev * math.sqrt(1.0 + ss.theta)
-        sqrt_s = math.sqrt(self.s)
         for _ in range(self.max_backtracks + 1):
-            beta = self.s * a
             theta = a / alpha_prev
-            dy = beta * (u + theta * v)
-            at_dy = beta * (at_u + theta * at_v)
-            lhs = float(np.linalg.norm(at_dy))
-            rhs = float(np.linalg.norm(dy)) / (sqrt_s * a)
+            lhs = pp + theta * (2.0 * pq + theta * qq)
+            rhs = (uu + theta * (2.0 * uv + theta * vv)) / (self.s * a * a)
             if lhs <= rhs:
+                beta = self.s * a
                 ss.alpha, ss.beta, ss.theta = a, beta, theta
-                return it.y + dy, it.Aty + at_dy
+                return it.y + beta * (u + theta * v), it.Aty + beta * (at_u + theta * at_v)
             a *= self.mu
         raise LinesearchStalled(
             f"linesearch stalled: no acceptance after {self.max_backtracks} shrinks"
@@ -466,8 +494,8 @@ class TuningFreePolicy(StepsizePolicy):
         omega = 2.0 ** (-k_one_based / 100.0)
         ref = x_new - it.X_cur
         ref[it.support] += ss.alpha * it.Aty
-        den = float(np.linalg.norm(ref))
-        num = float(np.linalg.norm(x_new))
+        den = _norm(ref)
+        num = _norm(x_new)
         if den == 0.0:
             clamped = self.theta_max if num > 0.0 else 1.0
             ss.counts["tf_zero_denominator"] = ss.counts.get("tf_zero_denominator", 0) + 1
@@ -590,12 +618,12 @@ def solve(problem: SdpProblem, policy: StepsizePolicy,
 
             report, p_mat = _residual_report(x_cur - x_new, y - y_new, aty - aty_new,
                                              ax - ax_new, alpha_x, ss.beta, support)
-            objective = frobenius_inner_dense(c, x_new[support])
+            objective = float(c.dot(x_new[support]))
             wall_ms = (time.perf_counter() - tic) * 1e3
             rows.append(TraceRow(k, report.p_norm, report.d_norm, report.combined,
                                  objective, ss.alpha, ss.beta, ss.theta, wall_ms))
 
-            converged = stop_check(report, config.tol)
+            converged = report.combined < config.tol  # stop_check, on a validated tol
             if not converged:
                 ss.move_to(policy.adjust_post(problem, it, x_new, p_mat, report, ss))
         except Exception as exc:  # surface any failure with the partial trace

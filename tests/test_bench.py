@@ -71,6 +71,20 @@ class TestBenchConfig:
         labels = [label for label, _ in cfg.policy_factories()]
         assert labels == ["ls_s0.1", "ls_s0.2", "ls_s1", "ls_s10"]
 
+    def test_params_of_a_policy_not_swept_are_checked(self):
+        data = {"families": ["rg"], "seeds": 1, "policies": ["fixed"],
+                "policy_params": {"tf": {"eps": 2.0}}}
+        with pytest.raises(ValueError, match="policy 'tf'.*'eps'"):
+            BenchConfig.from_dict(data)
+        for params, match in (({"bpdr": {"eta": 1.5}}, "eta must be"),
+                              ({"ls": {"mu": 0.5}}, "policy 'ls'.*'mu'")):
+            with pytest.raises(ValueError, match=match):
+                tiny_config(policies=("fixed",), policy_params=params)
+
+    def test_ls_params_checked_with_each_grid_value(self):
+        with pytest.raises(ValueError, match="s must be a finite positive number, got -1.0"):
+            tiny_config(policies=("fixed",), policy_params={"ls": {}}, ls_s_grid=(1.0, -1.0))
+
     def test_policy_params_forwarded(self):
         cfg = tiny_config(policies=("bpdr",), policy_params={"bpdr": {"eta": 0.25}})
         (_, factory), = cfg.policy_factories()

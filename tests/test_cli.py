@@ -297,9 +297,14 @@ class TestBenchCommand:
         ({"budgets": {"rg": [True, 2]}}, "budgets"),
         ({"policies": ["tf"], "policy_params": {"tf": {"eps": True}}}, "eps"),
         ({"policies": ["ls"], "policy_params": {"ls": {"s": 0.5}}}, "ls_s_grid"),
+        ({"policies": ["bpdr"], "policy_params": {"bpdr": {"eta": "0.3"}}},
+         "eta must be a real number in (0, 1), got '0.3'"),
+        ({"policy_params": {"alv": {"eta": True}}}, "eta must be"),
+        ({"policy_params": {"tf": {"eps": 2.0}}}, "policy 'tf'"),
     ], ids=["tol-string", "budget-strings", "budget-floats", "unknown-size",
             "tf-eps-string", "size-string", "size-bool", "fixed-nan", "tol-inf",
-            "seeds-true", "tol-true", "budget-true", "tf-eps-true", "ls-s-param"])
+            "seeds-true", "tol-true", "budget-true", "tf-eps-true", "ls-s-param",
+            "bpdr-eta-string", "alv-eta-bool-unswept", "tf-eps-unswept"])
     def test_malformed_value_exit_one(self, tmp_path, capsys, monkeypatch, entries, param):
         def no_instances(*args):
             raise AssertionError("an instance was generated")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pdhgsdp.drs as drs_module
 from pdhgsdp.drs import (
     LiftedState,
     check_equivalence,
@@ -213,6 +214,22 @@ class TestCheckEquivalence:
                                    tol=1e-8, break_product=True)
         assert not report.passed
         assert max(report.max_x_defect, report.max_z_defect) > 1e-8
+
+    def test_one_projection_per_oracle_step(self, monkeypatch):
+        """compare() reads X^k off the resolvent that the step then goes on
+        from, so the oracle projects once per step (the engine projects
+        through its own packed routine)."""
+        calls = []
+
+        def counting(mat):
+            calls.append(mat.shape)
+            return proj_psd_dense(mat)
+
+        monkeypatch.setattr(drs_module, "proj_psd_dense", counting)
+        prob = gen_random(1, n=5, m=3)
+        report = check_equivalence(prob, geometric_schedule(), iters=40, tol=1e-8)
+        assert report.passed
+        assert calls == [(5, 5)] * 40
 
     def test_json_serialization(self):
         prob = gen_random(3, n=4, m=2)

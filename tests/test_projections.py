@@ -278,6 +278,39 @@ class TestBlockProjection:
         with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
             proj_psd_packed(x, layout.runs)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+    def test_finite_entries_whose_square_sum_overflows_pass(self):
+        # x.x overflows to inf, so only the exact pass can tell these apart
+        # from a non-finite entry
+        x = np.array([1e200, -1e200, 3e200])
+        proj_psd_packed(x, [])
+        np.testing.assert_array_equal(x, [1e200, 0.0, 3e200])
+
+    @pytest.mark.parametrize("rank", [0, 1, 2, 5, 14])
+    def test_factor_product_is_the_matmul_of_its_factor(self, rank):
+        """V V^T of each rank, rank 1 included, is bit for bit the matmul of
+        V with V.T that the projection formed before it chose np.dot for a
+        rank-1 factor: one rounded product per entry at rank 1, the same
+        BLAS call above it."""
+        if projections_module._DSYEVX is None:
+            pytest.skip("numpy's LAPACK exports no dsyevx")
+        rng = np.random.default_rng(rank)
+        q, _ = np.linalg.qr(rng.standard_normal((14, 14)))
+        vals = -1.0 - rng.random(14)
+        vals[:rank] = 1.0 + rng.random(rank)
+        mat = (q * vals) @ q.T
+        mat = 0.5 * (mat + mat.T)
+        ws = projections_module._Workspace(14)
+        vt = projections_module._positive_factor(ws, mat.copy())
+        assert vt.shape == (rank, 14) and vt.flags.c_contiguous
+        v = vt.T.copy(order="F")  # V, laid out as dsyevx returns it
+        want = np.empty((14, 14))
+        np.matmul(v, v.T, out=want)
+        x = mat.ravel().copy()
+        proj_psd_packed(x, [(14, 1, ws)])
+        np.testing.assert_array_equal(x.reshape(14, 14), want)
+        np.testing.assert_array_equal(want, want.T)
+
     def test_rejects_a_vector_it_cannot_write_in_place(self):
         x = np.eye(4).ravel()
         for bad in (x[::2], x.astype(np.float32), x.reshape(4, 4)):

@@ -311,6 +311,12 @@ class TestBalancedResidualPolicy:
             with pytest.raises(ValueError, match="eta"):
                 BalancedResidualPolicy(eta=eta)
 
+    @pytest.mark.parametrize("name", ["bpdr", "alv"])
+    @pytest.mark.parametrize("eta", ["0.3", True, None, float("nan"), [0.5]])
+    def test_eta_of_wrong_type_is_named(self, name, eta):
+        with pytest.raises(ValueError, match=r"^eta must be a real number in \(0, 1\)"):
+            make_policy(name, eta=eta)
+
 
 class TestGradientAlignmentPolicy:
     def _setup(self):
@@ -433,7 +439,66 @@ class TestZeroConstraintMap:
         assert trace.status == "converged"  # X = 0 is optimal
 
 
+def direct_rule_trial(pol, prob, it, ax_new, ss):
+    """The alpha the linesearch accepts when each trial forms both norms, as
+    it did before its scalar rule: ||A^T(dy)|| <= ||dy|| / (sqrt(s) alpha),
+    with A^T applied to u and v; None where it stalls."""
+    u, v = ax_new - prob.b, ax_new - it.AX
+    at_u, at_v = it.adjoint(u), it.adjoint(v)
+    a = ss.alpha * np.sqrt(1.0 + ss.theta)
+    for _ in range(pol.max_backtracks + 1):
+        beta, theta = pol.s * a, a / ss.alpha
+        if (np.linalg.norm(beta * (at_u + theta * at_v))
+                <= np.linalg.norm(beta * (u + theta * v)) / (np.sqrt(pol.s) * a)):
+            return a
+        a *= pol.mu
+    return None
+
+
+def ls_fixture(case):
+    """(policy, problem, iterate, X^{k+1}, stepsizes) of the direct-call cases
+    of TestLinesearchPolicy, built as those tests build them."""
+    if case == "zero-map":
+        prob = zero_map_problem()
+        pol = LinesearchPolicy(s=2.0)
+        return pol, prob, iterate_state(prob, np.zeros((3, 3)), np.zeros(1)), np.eye(3), \
+            pol.initial_state(prob)
+    if case == "boundary":
+        prob = gen_maxcut(1, n=4, m_edges=3)
+        pol = LinesearchPolicy(s=4.0)
+        pol.mu = 0.5
+        ss = pol.initial_state(prob)
+        ss.alpha, ss.theta = 1.0, 1.0
+        rng = np.random.default_rng(20)
+        x_new = random_sym(rng, 4)
+        x_cur = random_sym(rng, 4)
+        return pol, prob, iterate_state(prob, x_cur, rng.standard_normal(4), k=1), x_new, ss
+    if case == "two-shrink":
+        prob, pol, seed = gen_maxcut(2, n=4, m_edges=3), LinesearchPolicy(s=1.0), 21
+        ss = pol.initial_state(prob)
+        ss.alpha = 1.5 / np.sqrt(2.0)
+    else:  # "stall"
+        prob, pol, seed = gen_maxcut(3, n=4, m_edges=3), LinesearchPolicy(s=4.0), 22
+        pol.max_backtracks = 0
+        ss = pol.initial_state(prob)
+    rng = np.random.default_rng(seed)
+    x_new = random_sym(rng, 4)
+    return pol, prob, iterate_state(prob, np.zeros((4, 4)), rng.standard_normal(4)), x_new, ss
+
+
 class TestLinesearchPolicy:
+    @pytest.mark.parametrize("case", ["zero-map", "boundary", "two-shrink", "stall"])
+    def test_scalar_rule_accepts_the_direct_rules_trial(self, case):
+        pol, prob, it, x_new, ss = ls_fixture(case)
+        ax_new = forward(prob.constraints, x_new)
+        want = direct_rule_trial(pol, prob, it, ax_new, ss)
+        if want is None:
+            with pytest.raises(LinesearchStalled):
+                pol.dual_update(prob, it, x_new, ax_new, ss)
+        else:
+            pol.dual_update(prob, it, x_new, ax_new, ss)
+            assert ss.alpha == want
+
     def test_zero_map_accepts_first_trial(self):
         prob = zero_map_problem()
         pol = LinesearchPolicy(s=2.0)
@@ -1052,8 +1117,10 @@ ENGINE_POLICIES = POLICY_NAMES + ("schedule",)
 
 class TestOperatorApplications:
     """The engine applies A once and A^T once per iteration, plus once each
-    at set-up; the linesearch's dual step adds its two A^T applications and
-    drops the engine's. No other hook applies an operator."""
+    at set-up. The linesearch's dual step drops the engine's A^T for one of
+    its own per iteration, to A(X^{k+1}); its first call also forms A^T(b),
+    and has no previous product to reuse, so it applies A^T to u and to v.
+    No other hook applies an operator."""
 
     ITERS = 25
 
@@ -1093,9 +1160,9 @@ class TestOperatorApplications:
 
         trace = solve(prob, policy, SolveConfig(max_iters=self.ITERS, tol=1e-300))
         assert trace.iterations == self.ITERS
-        per_iter = 3 if name == "ls" else 2
-        assert total[0] == per_iter * self.ITERS + 2
-        assert in_hook == ({"dual_update": 2 * self.ITERS} if name == "ls" else {})
+        first_call = 2 if name == "ls" else 0
+        assert total[0] == 2 * self.ITERS + 2 + first_call
+        assert in_hook == ({"dual_update": self.ITERS + first_call} if name == "ls" else {})
 
 
 @pytest.mark.parametrize("name", ENGINE_POLICIES)
@@ -1235,6 +1302,47 @@ def test_hooks_read_the_adjoint_on_the_support():
 
     solve(prob, Checking(), SolveConfig(max_iters=10, tol=1e-300))
     assert checked == list(range(10))
+
+
+@pytest.mark.parametrize("make_problem", [
+    lambda: gen_random(1, n=6, m=4), lambda: gen_maxcut(2, n=8, m_edges=10),
+    lambda: PARITY_PROBLEMS["snl"][0](),
+], ids=["rg", "mc", "snl"])
+def test_linesearch_products_stay_within_roundoff(make_problem):
+    """ls forms A^T(y^{k+1}) from its one A^T per iteration and the products
+    it keeps (A^T(b) and the previous A^T(A(X^k))), so roundoff adds up over
+    a run: after 300 iterations the product stays within 1e-12 of A^T
+    applied to y^{k+1}. Every trial it accepts is the one the direct norms
+    accept on the same step."""
+    prob = make_problem()
+    worst, reused = [0.0], []
+
+    class Checking(LinesearchPolicy):
+        def dual_update(self, problem, it, x_new, ax_new, ss):
+            reused.append(self._last[0] is it.AX)
+            want = direct_rule_trial(self, problem, it, ax_new, ss)
+            y_new, aty_new = super().dual_update(problem, it, x_new, ax_new, ss)
+            assert ss.alpha == want
+            exact = it.adjoint(y_new)
+            worst[0] = max(worst[0], np.linalg.norm(aty_new - exact) / np.linalg.norm(exact))
+            return y_new, aty_new
+
+    trace = solve(prob, Checking(), SolveConfig(max_iters=300, tol=1e-300))
+    assert trace.iterations == 300
+    assert reused == [False] + [True] * 299
+    assert worst[0] <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(7,), (2704,), (6, 6), (52, 52)])
+def test_norm_is_numpys_bit_for_bit(shape):
+    """The engine's norm helper returns np.linalg.norm's value exactly, on
+    vectors and on the n-by-n arrays hooks and ``residuals`` pass it, where a
+    bare v.dot(v) would be a matrix product; a transposed view included."""
+    rng = np.random.default_rng(len(shape))
+    for scale in 10.0 ** np.arange(-8, 9, 4):
+        v = scale * rng.standard_normal(shape)
+        for arr in (v, v.T):
+            assert solver_module._norm(arr) == float(np.linalg.norm(arr))
 
 
 def test_make_policy_dispatch():
