@@ -1,63 +1,83 @@
 """Projection onto the PSD cone, exact and rank-truncated.
 
-The exact projection keeps only the positive eigenpairs, so it asks LAPACK's
-``dsyevx`` for those alone instead of for the full decomposition. The routine
-is reached through the LAPACK that numpy itself links (scipy-openblas in the
-numpy wheels), so no further dependency is loaded. Where numpy's build does
-not export it (MKL, conda or Windows builds), the projection clips a full
-``np.linalg.eigh``; that path is also the reference the tests compare against.
+The exact projection keeps only the positive eigenpairs. It runs the stages
+of LAPACK's ``dsyevx`` one by one: ``dsytrd`` reduces the matrix to a
+tridiagonal T, a count-only ``dstebz`` gives the number k of positive
+eigenvalues and the split blocks of T, the eigenvalues come from bisection
+(``dstebz``) when k is small and from ``dsterf`` (all eigenvalues of each
+split block, by root-free QL/QR) when it is not, ``dstein`` finds their
+vectors and ``dormtr`` takes those back to the matrix. The bisection branch
+is ``dsyevx`` bit for bit. The routines are reached through the LAPACK that
+numpy itself links (scipy-openblas in the numpy wheels), so no further
+dependency is loaded. Where numpy's build does not export all five (MKL,
+conda or Windows builds), the projection clips a full ``np.linalg.eigh``;
+that path is also the reference the tests compare against.
 
 ``proj_psd_packed`` is the one routine that calls the eigensolvers. It
 projects, in place, a matrix packed by its diagonal blocks (the solver's
-iterate) along the plan its :class:`Layout` made once: ``dsyevx`` on each
-block's slice, in its run's own workspace, or one batched ``eigh`` per run
-of equal small blocks. ``proj_psd_dense`` projects an n-by-n array as one
-such block, on a copy.
+iterate) along the plan its :class:`Layout` made once: the staged solve on
+each block's slice, in its run's own workspace, or one batched ``eigh`` per
+run of equal small blocks. ``proj_psd_dense`` projects an n-by-n array as
+one such block, on a copy.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from .linalg import SymMat
 
-# dsyevx's names in numpy's LAPACK: numpy >= 2 wheels prefix scipy-openblas's
-# ILP64 symbols with ``scipy_``, numpy 1.x wheels export them bare.
-_DSYEVX_SYMBOLS = ("scipy_dsyevx_64_", "dsyevx_64_")
+# The stages of dsyevx, each with its number of character arguments (which
+# come first, and whose hidden lengths come last) and of other arguments, all
+# by reference.
+_STAGES = {"dsytrd": (1, 9), "dstebz": (2, 16), "dsterf": (0, 4), "dstein": (0, 13),
+           "dormtr": (3, 10)}
+_Lapack = namedtuple("_Lapack", _STAGES)
 
 # Bisection pins each eigenvalue to 2*DLAMCH('S'), the accuracy LAPACK
-# recommends. At the default (0, which dsyevx widens to eps*||T||), tf stalls
-# on max-cut instances with a degenerate dual: its stepsize grows past 1e15,
-# so the projection input is mostly roundoff, and the coarser eigenvalues then
-# keep it from reaching the stopping rule under permuted rows.
+# recommends; it keeps the eigenvalues' relative accuracy wherever k is small
+# enough for bisection. At the default (0, which dstebz widens to eps*||T||),
+# tf stalls on max-cut instances with a degenerate dual: its stepsize grows
+# past 1e15, so the projection input is mostly roundoff, and the coarser
+# eigenvalues then keep it from reaching the stopping rule under permuted rows.
 _ABSTOL = 2.0 * np.finfo(float).tiny
 
+# dsyevx scales a matrix whose largest entry lies outside [RMIN, RMAX] into
+# that range before it reduces it (DLAMCH('S') and DLAMCH('P') below).
+_SMLNUM = np.finfo(float).tiny / np.finfo(float).eps
+_RMIN = math.sqrt(_SMLNUM)
+_RMAX = min(math.sqrt(1.0 / _SMLNUM), 1.0 / math.sqrt(math.sqrt(np.finfo(float).tiny)))
 
-def _load_dsyevx():
-    """The ILP64 ``dsyevx`` of numpy's LAPACK, or None where it exports none."""
+
+def _load_lapack():
+    """The five stages in numpy's ILP64 LAPACK, or None where it lacks one.
+    numpy >= 2 wheels prefix scipy-openblas's symbols with ``scipy_``, numpy
+    1.x wheels export them bare."""
     try:
         from numpy.linalg import _umath_linalg
         lib = ctypes.CDLL(_umath_linalg.__file__)
     except (ImportError, OSError, AttributeError):
         return None
-    for name in _DSYEVX_SYMBOLS:
-        fn = getattr(lib, name, None)
-        if fn is not None:
-            # 20 Fortran arguments, all by reference, then the hidden lengths
-            # of the three character arguments
-            fn.argtypes = [ctypes.c_void_p] * 20 + [ctypes.c_size_t] * 3
-            fn.restype = None
-            return fn
+    for prefix in ("scipy_", ""):
+        fns = [getattr(lib, f"{prefix}{name}_64_", None) for name in _STAGES]
+        if all(fns):
+            for fn, (chars, refs) in zip(fns, _STAGES.values()):
+                fn.argtypes = ([ctypes.c_char_p] * chars + [ctypes.c_void_p] * refs
+                               + [ctypes.c_size_t] * chars)
+                fn.restype = None
+            return _Lapack(*fns)
     return None
 
 
-_DSYEVX = _load_dsyevx()
+_LAPACK = _load_lapack()
 
 # A run of two or more equal blocks below this size is projected by one
-# batched np.linalg.eigh; every other block by dsyevx. Measured on the
+# batched np.linalg.eigh; every other block by the staged solve. Measured
+# (with dsyevx, which the staged solve's bisection branch is) on the
 # projection inputs of bpdr solves of max-cut graphs made of 1-8 equal
 # components (2-core Xeon, BLAS on one thread): for runs of 2, 4 and 8
 # blocks the batched call is faster below k = 8, 10 and 11 (2-4x at k = 2),
@@ -65,40 +85,76 @@ _DSYEVX = _load_dsyevx()
 # 1.8x at k = 16).
 _BATCH_BELOW = 10
 
+# dsterf finds the eigenvalues of an n-by-n block with k positive ones when
+# k > _DSTERF_ABOVE * n, bisection otherwise. Bisection costs each positive
+# eigenvalue ~55 Sturm sweeps of T, dsterf all n eigenvalues O(n^2) flops.
+# Measured on random spectra (2-core Xeon, BLAS on one thread), the staged
+# solve is faster with dsterf from k = 4 at n = 30-50, 5 at n = 64-80, 6 at
+# n = 100, 8 at n = 125-150, 10 at n = 200 and 14 at n = 300, so k/n at the
+# break-even falls from 0.12 at n = 30 to 0.07 at n = 50 and 0.05 at
+# n = 150-300. On the solver's own inputs (n = 50-52 and 118-125), k > 0.08 n
+# is within 2% of the faster branch chosen per input. Below n = 20 fixed
+# costs dominate, and bisection is as fast up to k = 5 or so.
+_DSTERF_ABOVE = 0.08
+
+
+# Where a workspace's integer array keeps the scalars LAPACK writes: the size
+# of dsterf's block, the number of eigenvalues found, of split blocks, info.
+_NB, _M, _NSPLIT, _INFO = 3, 4, 5, 6
+
 
 class _Workspace:
-    """dsyevx's buffers and arguments for one dimension n, except the address
-    of the matrix, which each call passes. The arguments hold raw addresses,
-    so the buffers must live as long as they do; dsyevx writes into them
-    without the interpreter lock, so each belongs to one plan."""
+    """The stages' buffers and arguments for one dimension n, except the
+    address of the matrix, which each call passes. The buffers lie in one
+    float and one integer array, and the arguments hold raw addresses into
+    them, so the arrays must live as long as the arguments do; LAPACK writes
+    into them without the interpreter lock, so each belongs to one plan."""
 
     def __init__(self, n: int):
-        self.w = np.empty(n)
-        self.z = np.empty((n, n), order="F")
-        self.m = np.zeros(1, dtype=np.int64)
-        self.info = np.zeros(1, dtype=np.int64)
-        # n, lda, il, iu, ldz, lwork (il and iu are not read for RANGE='V')
-        ints = np.array([n, n, 1, n, n, 8 * n], dtype=np.int64)
-        # vl, vu, abstol: the half-open range (0, +inf]
-        reals = np.array([0.0, np.inf, _ABSTOL])
-        chars = np.frombuffer(b"VVL", dtype=np.uint8).copy()  # jobz, range, uplo
-        work = np.empty(8 * n)
-        iwork = np.empty(5 * n, dtype=np.int64)
-        ifail = np.empty(n, dtype=np.int64)
-        self._keep = (ints, reals, chars, work, iwork, ifail)
-        i, r, c = ints.ctypes.data, reals.ctypes.data, chars.ctypes.data
-        # the arguments before and after the matrix's address
-        self.head = (c, c + 1, c + 2, i)
-        self.tail = (i + 8, r, r + 8, i + 16, i + 24, r + 16, self.m.ctypes.data,
-                     self.w.ctypes.data, self.z.ctypes.data, i + 32, work.ctypes.data,
-                     i + 40, iwork.ctypes.data, ifail.ctypes.data, self.info.ctypes.data,
-                     1, 1, 1)
+        self.n = n
+        # the eigenvectors, column-major (n*n); the eigenvalues; T's diagonal
+        # and off-diagonal, then dsterf's copy of them; the reflectors'
+        # scalars (n each); the work array (7n); vl, vu, abstol
+        at = n * n  # where the n-long buffers start
+        self.reals = reals = np.empty(at + 13 * n + 3)
+        reals[-3] = 0.0  # the half-open range (0, +inf]
+        reals[-2] = np.inf
+        reals[-1] = _ABSTOL
+        self.w, self.t = reals[at:at + n], reals[at + n:at + 3 * n]
+        self.t_copy = reals[at + 3 * n:at + 5 * n]
+        # n, dsytrd's and dormtr's lwork, the four scalars of _NB; the
+        # split-block labels and the split points (n each), iwork (3n), ifail
+        self.ints = ints = np.empty(6 * n + 7, dtype=np.int64)
+        ints[:3] = n, 5 * n, 7 * n
+        self.iblock, self.isplit = ints[7:7 + n], ints[7 + n:7 + 2 * n]
+
+        # the addresses; a.ctypes.data takes 3x as long to read
+        f = ctypes.addressof(ctypes.c_char.from_buffer(reals))
+        i = ctypes.addressof(ctypes.c_char.from_buffer(ints))
+        self.t_copy_at = f + 8 * (at + 3 * n)
+        z, w, d, e = f, f + 8 * at, f + 8 * (at + n), f + 8 * (at + 2 * n)
+        tau, work, vl = f + 8 * (at + 5 * n), f + 8 * (at + 6 * n), f + 8 * (at + 13 * n)
+        vu, abstol = vl + 8, vl + 16
+        n_, lwork5, lwork7, nb, m, nsplit, info, iblock = range(i, i + 64, 8)
+        isplit, iwork, ifail = i + 8 * (7 + n), i + 8 * (7 + 2 * n), i + 8 * (7 + 5 * n)
+        one = 1  # the length of a character argument
+        # the arguments before and after the matrix's address; dstebz's il and
+        # iu are n, as RANGE='V' reads neither
+        self.sytrd = (b"L", n_), (n_, d, e, tau, work, lwork5, info, one)
+        stebz = b"V", b"B", n_, vl, vu, n_, n_
+        tail = d, e, m, nsplit, w, iblock, isplit, work, iwork, info, one, one
+        self.count = stebz + (vu,) + tail  # abstol +inf: one Sturm count per block
+        self.bisect = stebz + (abstol,) + tail
+        self.sterf = nb, info  # around the addresses of a split block's copy
+        self.stein = n_, d, e, m, w, iblock, isplit, z, n_, work, iwork, ifail, info
+        self.ormtr = (b"L", b"L", b"N", n_, m), (n_, tau, z, n_, work, lwork7, info, one, one, one)
 
 
 def _run(k: int, count: int) -> tuple:
     """(k, count, ws) for a run of ``count`` blocks of k indices: ws is its
-    dsyevx workspace, or None where one batched eigh takes the whole run."""
-    batched = _DSYEVX is None or (count > 1 and k < _BATCH_BELOW)
+    staged solve's workspace, or None where one batched eigh takes the whole
+    run."""
+    batched = _LAPACK is None or (count > 1 and k < _BATCH_BELOW)
     return k, count, None if batched else _Workspace(k)
 
 
@@ -158,7 +214,8 @@ def proj_psd_packed(x: np.ndarray, runs) -> None:
     the lower one in the column-major order LAPACK reads.
 
     A run whose ``ws`` is None goes through one batched eigendecomposition;
-    every block of any other run goes through dsyevx in place, in ``ws``.
+    every block of any other run goes through the staged solve in place, in
+    ``ws``.
     Raises ``np.linalg.LinAlgError`` on a non-finite entry or an eigensolver
     failure.
     """
@@ -187,13 +244,84 @@ def proj_psd_packed(x: np.ndarray, runs) -> None:
 
 def _positive_factor(ws: _Workspace, a: np.ndarray) -> np.ndarray:
     """V^T, C-contiguous, with V V^T the PSD projection of the matrix in the
-    buffer ``a``, which dsyevx reads in column-major order and overwrites."""
+    buffer ``a``, which LAPACK reads in column-major order and overwrites.
+    dsyevx's stages, each with the share of the workspace dsyevx gives it;
+    the count of positive eigenvalues picks how they are found (see
+    ``_DSTERF_ABOVE``)."""
+    sytrd, stebz, _, stein, ormtr = _LAPACK
+    n, ints = ws.n, ws.ints
+    scale = _scale(a)
+    if scale != 1.0:
+        a *= scale
     # the buffer's address; a.ctypes.data takes 4x as long to read
-    _DSYEVX(*ws.head, ctypes.addressof(ctypes.c_char.from_buffer(a)), *ws.tail)
-    if ws.info[0] != 0:
-        raise np.linalg.LinAlgError(f"dsyevx failed with INFO={ws.info[0]}")
-    k = int(ws.m[0])
-    return ws.z[:, :k].T * np.sqrt(ws.w[:k])[:, np.newaxis]
+    address = ctypes.addressof(ctypes.c_char.from_buffer(a))
+    sytrd(*ws.sytrd[0], address, *ws.sytrd[1])
+    stebz(*ws.count)
+    k = int(ints[_M])
+    if k == 0:
+        return ws.reals[:0].reshape(0, n)
+    if k > _DSTERF_ABOVE * n:
+        _top_eigenvalues(ws, k)
+    else:
+        ws.reals[-1] = _ABSTOL * scale
+        stebz(*ws.bisect)
+    stein(*ws.stein)
+    if ints[_INFO] != 0:
+        raise np.linalg.LinAlgError(f"dstein failed with INFO={ints[_INFO]}")
+    ormtr(*ws.ormtr[0], address, *ws.ormtr[1])
+    # the first k eigenvectors, column-major, are the rows of V^T
+    vt, w = ws.reals[:k * n].reshape(k, n), ws.w[:k]
+    if scale != 1.0:
+        w *= 1.0 / scale
+    if ws.iblock[0] != ws.iblock[k - 1]:
+        _sort_pairs(w, vt)
+    return vt * np.sqrt(w)[:, np.newaxis]
+
+
+def _scale(a: np.ndarray) -> float:
+    """dsyevx's factor for a symmetric matrix whose largest entry lies outside
+    [RMIN, RMAX], which takes that entry to the near end; 1 otherwise. The
+    sum of squares settles most matrices without the largest entry (a factor
+    4 spares it the sum's roundoff)."""
+    squares = np.vdot(a, a)
+    if 4.0 * _RMIN * _RMIN * a.size <= squares <= 0.25 * _RMAX * _RMAX:
+        return 1.0
+    largest = max(a.max(), -a.min())
+    if 0.0 < largest < _RMIN:
+        return _RMIN / largest
+    return _RMAX / largest if largest > _RMAX else 1.0
+
+
+def _top_eigenvalues(ws: _Workspace, k: int) -> None:
+    """Fill ``ws.w[:k]`` as the count-only dstebz labelled it: for each split
+    block of T, in order, that block's positive eigenvalues, ascending, which
+    are the largest of all its eigenvalues by dsterf, clipped at 0."""
+    labels = ws.iblock[:k].tolist()
+    ends = ws.isplit[:ws.ints[_NSPLIT]].tolist()
+    ws.t_copy[:] = ws.t  # dsterf overwrites what it reads
+    diagonal = ws.t_copy[:ws.n]
+    start = 0
+    while start < k:
+        block = labels[start]  # 1-based; each block's labels are contiguous
+        stop = start + labels.count(block)
+        low, high = ends[block - 2] if block > 1 else 0, ends[block - 1]
+        ws.ints[_NB] = high - low
+        at = ws.t_copy_at + 8 * low
+        _LAPACK.dsterf(ws.sterf[0], at, at + 8 * ws.n, ws.sterf[1])
+        if ws.ints[_INFO] != 0:
+            raise np.linalg.LinAlgError(f"dsterf failed with INFO={ws.ints[_INFO]}")
+        np.maximum(diagonal[high - stop + start:high], 0.0, out=ws.w[start:stop])
+        start = stop
+
+
+def _sort_pairs(w: np.ndarray, vt: np.ndarray) -> None:
+    """dsyevx's selection sort: the eigenvalues ascending, their vectors (the
+    rows of vt) along."""
+    for j in range(len(w) - 1):
+        i = j + 1 + int(np.argmin(w[j + 1:]))
+        if w[i] < w[j]:
+            w[[j, i]] = w[[i, j]]
+            vt[[j, i]] = vt[[i, j]]
 
 
 def _proj_psd_eigh(stack: np.ndarray) -> np.ndarray:

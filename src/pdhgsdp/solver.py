@@ -28,7 +28,7 @@ off-diagonal nonzeros of C, of every A_i and of X_0 join their indices into
 blocks, found once per solve. Every iterate stays zero off the blocks, so X
 is kept as one packed vector of its blocks, and projecting each block on its
 own (``proj_psd_packed``) is the exact projection. ``projections.Layout``
-packs the vector and plans that projection once per solve, with dsyevx
+packs the vector and plans that projection once per solve, with LAPACK
 workspaces of its own. A^T(y) and C are kept only on the support, the packed
 positions where either can be nonzero (everything for a dense map). Off the
 support the primal step and the primal residual subtract exact zeros, so

@@ -1,3 +1,5 @@
+import collections
+import ctypes
 import sys
 import threading
 
@@ -16,7 +18,14 @@ from pdhgsdp.projections import (
     proj_psd_dense,
     proj_psd_packed,
 )
-from pdhgsdp.solver import BalancedResidualPolicy, SolveConfig, TuningFreePolicy, solve
+from pdhgsdp.bench import make_problem
+from pdhgsdp.solver import (
+    BalancedResidualPolicy,
+    SolveConfig,
+    TuningFreePolicy,
+    make_policy,
+    solve,
+)
 
 
 def clipping_oracle(dense: np.ndarray) -> np.ndarray:
@@ -121,11 +130,12 @@ SPECTRA = ("random", "clustered", "all-positive", "all-negative", "zero",
 
 @pytest.fixture(params=["dsyevx", "eigh"])
 def solver_path(request, monkeypatch):
-    """Run a test on the partial LAPACK solver and on the eigh fallback."""
+    """Run a test on the partial LAPACK solver (dsyevx's stages) and on the
+    eigh fallback."""
     if request.param == "eigh":
-        monkeypatch.setattr(projections_module, "_DSYEVX", None)
-    elif projections_module._DSYEVX is None:
-        pytest.skip("numpy's LAPACK exports no dsyevx")
+        monkeypatch.setattr(projections_module, "_LAPACK", None)
+    elif projections_module._LAPACK is None:
+        pytest.skip("numpy's LAPACK lacks one of dsyevx's stages")
     return request.param
 
 
@@ -241,8 +251,8 @@ class TestBlockProjection:
         """Runs of two or more blocks below the crossover go through one
         batched eigendecomposition, every other block through dsyevx in place
         on the packed vector itself, in its run's own workspace."""
-        if projections_module._DSYEVX is None:
-            pytest.skip("numpy's LAPACK exports no dsyevx")
+        if projections_module._LAPACK is None:
+            pytest.skip("numpy's LAPACK lacks one of dsyevx's stages")
         batched, in_place = [], []
         eigh, factor = projections_module._proj_psd_eigh, projections_module._positive_factor
 
@@ -292,8 +302,8 @@ class TestBlockProjection:
         V with V.T that the projection formed before it chose np.dot for a
         rank-1 factor: one rounded product per entry at rank 1, the same
         BLAS call above it."""
-        if projections_module._DSYEVX is None:
-            pytest.skip("numpy's LAPACK exports no dsyevx")
+        if projections_module._LAPACK is None:
+            pytest.skip("numpy's LAPACK lacks one of dsyevx's stages")
         rng = np.random.default_rng(rank)
         q, _ = np.linalg.qr(rng.standard_normal((14, 14)))
         vals = -1.0 - rng.random(14)
@@ -402,8 +412,9 @@ def test_tf_cycle_maxcut_converges_under_permuted_projection(seed, monkeypatch):
 
 
 def test_binding_resolves_on_scipy_openblas():
-    """numpy wheels link scipy-openblas, which exports dsyevx; a silent
-    fall-back to eigh there would hide the partial solver's speed-up."""
+    """numpy wheels link scipy-openblas, which exports all five of dsyevx's
+    stages; a silent fall-back to eigh there would hide the partial solver's
+    speed-up."""
     try:
         config = np.show_config(mode="dicts")
     except TypeError:
@@ -411,7 +422,241 @@ def test_binding_resolves_on_scipy_openblas():
     lapack = config.get("Build Dependencies", {}).get("lapack", {})
     if lapack.get("name") != "scipy-openblas":
         pytest.skip(f"numpy links {lapack.get('name')!r}, not scipy-openblas")
-    assert projections_module._DSYEVX is not None
+    stages = projections_module._LAPACK
+    assert stages is not None
+    assert stages._fields == ("dsytrd", "dstebz", "dsterf", "dstein", "dormtr")
+    assert all(isinstance(fn, ctypes._CFuncPtr) for fn in stages)
+
+
+def load_dsyevx():
+    """numpy's own ILP64 dsyevx, the reference the bisection branch must
+    equal bit for bit, or None where numpy's LAPACK exports none."""
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError, AttributeError):
+        return None
+    for name in ("scipy_dsyevx_64_", "dsyevx_64_"):
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            # 20 Fortran arguments, all by reference, then the hidden lengths
+            # of the three character arguments
+            fn.argtypes = [ctypes.c_void_p] * 20 + [ctypes.c_size_t] * 3
+            fn.restype = None
+            return fn
+    return None
+
+
+DSYEVX = load_dsyevx()
+
+
+def dsyevx_factor(mat):
+    """V^T from one dsyevx call for the eigenpairs in (0, +inf] at the
+    projection's tolerance, on a row-major copy of ``mat`` read as LAPACK
+    reads the staged solve's buffer, in the layout the staged solve returns."""
+    n = mat.shape[0]
+    a = np.array(mat, dtype=float, order="C")
+    w, z = np.empty(n), np.empty((n, n), order="F")
+    m, info = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    ints = np.array([n, n, 1, n, n, 8 * n], dtype=np.int64)  # n, lda, il, iu, ldz, lwork
+    reals = np.array([0.0, np.inf, projections_module._ABSTOL])  # vl, vu, abstol
+    chars = np.frombuffer(b"VVL", dtype=np.uint8).copy()  # jobz, range, uplo
+    work, iwork = np.empty(8 * n), np.empty(5 * n, dtype=np.int64)
+    ifail = np.empty(n, dtype=np.int64)
+    i, r, c = ints.ctypes.data, reals.ctypes.data, chars.ctypes.data
+    DSYEVX(c, c + 1, c + 2, i, a.ctypes.data, i + 8, r, r + 8, i + 16, i + 24, r + 16,
+           m.ctypes.data, w.ctypes.data, z.ctypes.data, i + 32, work.ctypes.data, i + 40,
+           iwork.ctypes.data, ifail.ctypes.data, info.ctypes.data, 1, 1, 1)
+    assert info[0] == 0
+    k = int(m[0])
+    return z[:, :k].T * np.sqrt(w[:k])[:, np.newaxis]
+
+
+def staged_factor(mat):
+    """V^T from the staged solve, on a row-major copy of ``mat``."""
+    a = np.array(mat, dtype=float, order="C")
+    return projections_module._positive_factor(projections_module._Workspace(len(a)), a)
+
+
+def with_spectrum(rng, vals):
+    """An exactly symmetric matrix with eigenvalues ``vals`` in a random basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((len(vals), len(vals))))
+    mat = (q * vals) @ q.T
+    return 0.5 * (mat + mat.T)
+
+
+def stage_case(name):
+    """Inputs that reach every path of the staged solve: a tridiagonal T that
+    splits (block-diagonal and diagonal inputs, whose eigenvalues dstebz
+    returns block by block, out of order), repeated eigenvalues, the
+    identity, a negative semidefinite matrix with a zero eigenvalue, and
+    entries beyond the range dsyevx scales into."""
+    rng = np.random.default_rng(7)
+    if name == "block-diagonal":
+        mat = np.zeros((12, 12))
+        for lo, hi in ((0, 5), (5, 7), (7, 12)):
+            mat[lo:hi, lo:hi] = random_sym(rng, hi - lo).to_dense()
+        return mat
+    return {
+        "diagonal": lambda: np.diag(rng.standard_normal(9)),
+        "repeated": lambda: with_spectrum(rng, np.repeat([2.0, 0.5, -1.0], 4)),
+        "identity": lambda: np.eye(6),
+        "negative-semidefinite": lambda: with_spectrum(rng, [0.0, -1.0, -2.0, -2.0, -3.0]),
+        "random-50": lambda: random_sym(rng, 50).to_dense(),
+        "huge": lambda: 1e100 * random_sym(rng, 10).to_dense(),
+        "tiny": lambda: 1e-150 * random_sym(rng, 10).to_dense(),
+    }[name]()
+
+
+STAGE_CASES = ("block-diagonal", "diagonal", "repeated", "identity", "negative-semidefinite",
+               "random-50", "huge", "tiny")
+
+
+def lapack_spy(monkeypatch):
+    """Record, for each staged solve, its block's size n (as ``"n"``) and the
+    LAPACK stages it calls, with how often."""
+    real = projections_module._LAPACK
+    calls = []
+
+    def spy(name):
+        def call(*args):
+            if name == "dsytrd":
+                # dsytrd's second argument is the address of n
+                calls.append(collections.Counter(n=ctypes.c_int64.from_address(args[1]).value))
+            calls[-1][name] += 1
+            return getattr(real, name)(*args)
+        return call
+
+    monkeypatch.setattr(projections_module, "_LAPACK",
+                        projections_module._Lapack(*map(spy, real._fields)))
+    return calls
+
+
+def branch_of(stages):
+    """The eigenvalue stage a staged solve took: dsterf, bisection (a second
+    dstebz after the count) or none (no positive eigenvalue)."""
+    if stages["dsterf"]:
+        return "dsterf"
+    return "bisection" if stages["dstebz"] == 2 else "none"
+
+
+BENCH_SIZES = {"mc": {"n": 150, "m_edges": 150}, "rg": {"n": 50, "m": 50}}
+BENCH_POLICY = {"mc": "bpdr", "rg": "tf", "snl": "ls"}
+
+
+@pytest.fixture(scope="module")
+def solver_inputs():
+    """Every staged solve's input in the first 150 iterations of one solve of
+    each benchmark family, at the benchmark's sizes and policies."""
+    if projections_module._LAPACK is None:
+        pytest.skip("numpy's LAPACK lacks one of dsyevx's stages")
+    inputs = {}
+    real = projections_module._positive_factor
+
+    def capture(ws, a):
+        inputs[family].append(a.copy())
+        return real(ws, a)
+
+    projections_module._positive_factor = capture
+    try:
+        for family in ("rg", "mc", "snl"):
+            inputs[family] = []
+            solve(make_problem(family, 1, BENCH_SIZES), make_policy(BENCH_POLICY[family]),
+                  SolveConfig(max_iters=150, tol=1e-300))
+    finally:
+        projections_module._positive_factor = real
+    return inputs
+
+
+@pytest.mark.skipif(projections_module._LAPACK is None or DSYEVX is None,
+                    reason="numpy's LAPACK lacks dsyevx or one of its stages")
+class TestStagedSolve:
+    """dsyevx's stages, run one by one, with dsterf for the eigenvalues when
+    many are positive."""
+
+    @pytest.mark.parametrize("name", STAGE_CASES)
+    def test_bisection_branch_is_dsyevx_bit_for_bit(self, name, monkeypatch):
+        monkeypatch.setattr(projections_module, "_DSTERF_ABOVE", np.inf)
+        mat = stage_case(name)
+        np.testing.assert_array_equal(staged_factor(mat), dsyevx_factor(mat))
+
+    @pytest.mark.parametrize("family", ["rg", "mc", "snl"])
+    def test_bisection_branch_is_dsyevx_on_solver_inputs(self, family, solver_inputs,
+                                                         monkeypatch):
+        monkeypatch.setattr(projections_module, "_DSTERF_ABOVE", np.inf)
+        for mat in solver_inputs[family][::10]:
+            np.testing.assert_array_equal(staged_factor(mat), dsyevx_factor(mat))
+
+    @pytest.mark.parametrize("branch", ["bisection", "dsterf"])
+    @pytest.mark.parametrize("name", STAGE_CASES)
+    def test_both_branches_match_the_clipping_oracle(self, name, branch, monkeypatch):
+        monkeypatch.setattr(projections_module, "_DSTERF_ABOVE",
+                            np.inf if branch == "bisection" else 0.0)
+        mat = stage_case(name)
+        assert np.linalg.norm(proj_psd_dense(mat) - clipping_oracle(mat)) \
+            <= 1e-12 * np.linalg.norm(mat)
+
+    @pytest.mark.parametrize("branch", ["bisection", "dsterf"])
+    @pytest.mark.parametrize("n", [2, 9, 50])
+    def test_both_branches_match_the_oracle_across_k(self, n, branch, monkeypatch):
+        """Random spectra with every share k/n of positive eigenvalues, from
+        none to all, on both branches."""
+        monkeypatch.setattr(projections_module, "_DSTERF_ABOVE",
+                            np.inf if branch == "bisection" else 0.0)
+        rng = np.random.default_rng(n)
+        for k in sorted({0, 1, n // 10, n // 4, n // 2, n - 1, n}):
+            vals = -rng.uniform(0.1, 2.0, n)
+            vals[:k] = rng.uniform(0.1, 2.0, k)
+            mat = with_spectrum(rng, vals)
+            assert np.linalg.norm(proj_psd_dense(mat) - clipping_oracle(mat)) \
+                <= 1e-12 * np.linalg.norm(mat), k
+
+    @pytest.mark.parametrize("branch", ["bisection", "dsterf"])
+    @pytest.mark.parametrize("family", ["rg", "mc", "snl"])
+    def test_both_branches_match_the_oracle_on_solver_inputs(self, family, branch,
+                                                              solver_inputs, monkeypatch):
+        monkeypatch.setattr(projections_module, "_DSTERF_ABOVE",
+                            np.inf if branch == "bisection" else 0.0)
+        for mat in solver_inputs[family][::10]:
+            # the buffer is read from its upper triangle
+            dense = np.triu(mat) + np.triu(mat, 1).T
+            out = proj_psd_dense(dense)
+            assert np.linalg.norm(out - clipping_oracle(dense)) <= 1e-12 * np.linalg.norm(dense)
+
+    def test_branch_follows_the_count(self, monkeypatch):
+        """dsterf when k > _DSTERF_ABOVE * n, bisection below, neither at
+        k = 0: the count alone picks, with no option and no state."""
+        calls = lapack_spy(monkeypatch)
+        rng = np.random.default_rng(3)
+        n = 50
+        cases = []
+        for k in (0, 1, 4, 5, 20):
+            vals = -rng.uniform(0.1, 2.0, n)
+            vals[:k] = rng.uniform(0.1, 2.0, k)
+            proj_psd_dense(with_spectrum(rng, vals))
+            cases.append((k, branch_of(calls[-1])))
+        limit = projections_module._DSTERF_ABOVE * n
+        assert cases == [(k, "none" if k == 0 else "dsterf" if k > limit else "bisection")
+                         for k in (0, 1, 4, 5, 20)]
+        assert {branch for _, branch in cases} == {"none", "bisection", "dsterf"}
+
+    def test_dsterf_on_rg_bisection_on_mc_and_snl(self, monkeypatch):
+        """The benchmark's random SDPs keep many positive eigenvalues and take
+        dsterf; its localization problems and the giant block of its max-cut
+        graphs keep few and mostly take bisection (one solve each, to the
+        benchmark's stop)."""
+        calls = lapack_spy(monkeypatch)
+        share = {}
+        for family in ("rg", "mc", "snl"):
+            start = len(calls)
+            trace = solve(make_problem(family, 1, BENCH_SIZES), make_policy(BENCH_POLICY[family]),
+                          SolveConfig(tol=1e-6))
+            assert trace.status == "converged"
+            biggest = max(c["n"] for c in calls[start:])
+            branches = collections.Counter(branch_of(c) for c in calls[start:] if c["n"] == biggest)
+            share[family] = branches["dsterf"] / sum(branches.values())
+        assert share["rg"] > 0.9
+        assert share["mc"] < 0.5 and share["snl"] < 0.5
 
 
 class TestApproxProjPsd:
