@@ -17,8 +17,8 @@ that path is also the reference the tests compare against.
 projects, in place, a matrix packed by its diagonal blocks (the solver's
 iterate) along the plan its :class:`Layout` made once: the staged solve on
 each block's slice, in its run's own workspace, or one batched ``eigh`` per
-run of equal small blocks. ``proj_psd_dense`` projects an n-by-n array as
-one such block, on a copy.
+run of equal small blocks (a lone one included). ``proj_psd_dense``
+projects an n-by-n array as one such block, on a copy.
 """
 
 from __future__ import annotations
@@ -75,14 +75,14 @@ def _load_lapack():
 
 _LAPACK = _load_lapack()
 
-# A run of two or more equal blocks below this size is projected by one
-# batched np.linalg.eigh; every other block by the staged solve. Measured
-# (with dsyevx, which the staged solve's bisection branch is) on the
-# projection inputs of bpdr solves of max-cut graphs made of 1-8 equal
-# components (2-core Xeon, BLAS on one thread): for runs of 2, 4 and 8
-# blocks the batched call is faster below k = 8, 10 and 11 (2-4x at k = 2),
-# and for a single block dsyevx is faster at every size (1.2x at k = 2,
-# 1.8x at k = 16).
+# Each run of equal blocks below this size, a single block included, is
+# projected by one batched np.linalg.eigh; every other block by the staged
+# solve. Measured on 2-core Xeons, BLAS on one thread. On the projection
+# inputs of bpdr solves of max-cut graphs made of 1-8 equal components, for
+# runs of 2, 4 and 8 blocks the batched call beats dsyevx (which the staged
+# solve's bisection branch is) below k = 8, 10 and 11, by 2-4x at k = 2. On
+# a single block of random spectrum it takes 14-22 us at k = 2-9, the staged
+# solve 18-27 us; with one positive eigenvalue they cross at k = 10-11.
 _BATCH_BELOW = 10
 
 # dsterf finds the eigenvalues of an n-by-n block with k positive ones when
@@ -93,8 +93,9 @@ _BATCH_BELOW = 10
 # n = 100, 8 at n = 125-150, 10 at n = 200 and 14 at n = 300, so k/n at the
 # break-even falls from 0.12 at n = 30 to 0.07 at n = 50 and 0.05 at
 # n = 150-300. On the solver's own inputs (n = 50-52 and 118-125), k > 0.08 n
-# is within 2% of the faster branch chosen per input. Below n = 20 fixed
-# costs dominate, and bisection is as fast up to k = 5 or so.
+# is within 2% of the faster branch chosen per input. At n = 10-19 fixed
+# costs dominate, and bisection is as fast up to k = 5 or so; smaller blocks
+# take the batched eigh (_BATCH_BELOW).
 _DSTERF_ABOVE = 0.08
 
 
@@ -154,8 +155,7 @@ def _run(k: int, count: int) -> tuple:
     """(k, count, ws) for a run of ``count`` blocks of k indices: ws is its
     staged solve's workspace, or None where one batched eigh takes the whole
     run."""
-    batched = _LAPACK is None or (count > 1 and k < _BATCH_BELOW)
-    return k, count, None if batched else _Workspace(k)
+    return k, count, None if _LAPACK is None or k < _BATCH_BELOW else _Workspace(k)
 
 
 class Layout:

@@ -393,12 +393,12 @@ class LinesearchPolicy(StepsizePolicy):
     Every trial step is y_trial - y = beta (u + theta v) with the fixed
     vectors u = A(X^{k+1}) - b and v = A(X^{k+1}) - A(X^k). By linearity
     A^T(u) = A^T(A(X^{k+1})) - A^T(b) and A^T(v) = A^T(A(X^{k+1})) - A^T(A(X^k)),
-    so one A^T application per iteration serves them: A^T(b) is formed once
-    per solve (kept with the adjoint that formed it), and A^T(A(X^k)) is the
-    previous call's product whenever the engine hands back that call's
-    A(X^{k+1}) as ``it.AX``. Otherwise (the first iteration, or a call from
-    outside the engine) A^T is applied to u and v. Squared, and with beta^2
-    cancelled, the test reads
+    so one A^T application per iteration, to A(X^{k+1}), serves them. A^T(b)
+    is formed once per solve (kept with the adjoint that formed it), and
+    A^T(A(X^k)) is the previous call's product whenever the engine hands back
+    that call's A(X^{k+1}) as ``it.AX``; otherwise (the first iteration, or a
+    call from outside the engine) A^T is applied to A(X^k) too. Squared, and
+    with beta^2 cancelled, the test reads
     ||A^T(u) + theta A^T(v)||^2 <= ||u + theta v||^2 / (s alpha_k^2), two
     quadratics in theta whose six coefficients are inner products formed
     once; only the accepted trial forms y^{k+1} and A^T(y^{k+1}).
@@ -430,12 +430,10 @@ class LinesearchPolicy(StepsizePolicy):
             atb = it.adjoint(problem.b)
             self._atb = (it.adjoint, atb)
         last_ax, at_ax = self._last
-        if last_ax is it.AX:
-            at_ax_new = it.adjoint(ax_new)
-            at_u, at_v = at_ax_new - atb, at_ax_new - at_ax
-        else:
-            at_u, at_v = it.adjoint(u), it.adjoint(v)
-            at_ax_new = at_u + atb
+        if last_ax is not it.AX:
+            at_ax = it.adjoint(it.AX)
+        at_ax_new = it.adjoint(ax_new)
+        at_u, at_v = at_ax_new - atb, at_ax_new - at_ax
         self._last = (ax_new, at_ax_new)
         uu, uv, vv = float(u.dot(u)), float(u.dot(v)), float(v.dot(v))
         p, q = at_u.ravel(), at_v.ravel()  # n-by-n where hooks are called so

@@ -381,5 +381,93 @@ class TestLambdaMaxBranches:
         if limit >= m:
             assert lam == pytest.approx(exact, rel=1e-12)
         else:
-            # power iteration: inflated so that it stays an upper bound
-            assert exact <= lam <= exact * (1.0 + 2e-6)
+            # Lanczos: its m = 12 steps span the whole space, so the top Ritz
+            # value is exact and only the inflation by 1/(1 - eps) is left
+            inflated = exact / (1.0 - operators_module._LANCZOS_EPS)
+            assert exact <= lam == pytest.approx(inflated, rel=1e-12)
+
+
+# --- one implementation of A and A^T -----------------------------------------
+
+
+def direct_forward(cmap, x):
+    """A(X) applied straight to the stored form: a GEMV or a gather."""
+    if cmap.coo is None:
+        return cmap.dense @ x.ravel()
+    rows, cols, vals = cmap.coo
+    return np.bincount(rows, weights=vals * x.ravel()[cols], minlength=cmap.m)
+
+
+def direct_adjoint(cmap, y):
+    """A^T(y) applied straight to the stored form, n-by-n."""
+    n = cmap.n
+    if cmap.coo is None:
+        return (y @ cmap.dense).reshape(n, n)
+    rows, cols, vals = cmap.coo
+    return np.bincount(cols, weights=vals * y[rows], minlength=n * n).reshape(n, n)
+
+
+def direct_gram(cmap):
+    """The Gram from the stored form: one matrix product for a dense map, one
+    n-by-n adjoint and forward per row for a sparse one."""
+    if cmap.coo is None:
+        g = cmap.dense @ cmap.dense.T
+    else:
+        g = np.array([direct_forward(cmap, direct_adjoint(cmap, e)) for e in np.eye(cmap.m)])
+    return 0.5 * (g + g.T)
+
+
+def repeated_triples_map(count):
+    """A map from ``count`` entries (and 9 repeats) that name both triangles:
+    sparse at 20, dense at 60."""
+    rng = np.random.default_rng(16)
+    return ConstraintMap.from_triples(9, 12, *random_triples(rng, 9, 12, count))
+
+
+BITWISE_MAPS = {
+    **{f"{family}-{seed}": (lambda make=make, seed=seed: make(seed).constraints)
+       for family, make in (("rg", lambda s: gen_random(s, n=50, m=50)),
+                            ("mc", lambda s: gen_maxcut(s, n=150, m_edges=150)),
+                            ("snl", lambda s: gen_snl(s)[0]))
+       for seed in (1, 2, 101, 102)},
+    "triples-coo": lambda: repeated_triples_map(20),
+    "triples-dense": lambda: repeated_triples_map(60),
+}
+
+
+def same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(BITWISE_MAPS))
+def test_packed_route_gives_the_stored_forms_bits(case):
+    """forward, adjoint, apply_A, apply_At and gram run on the map packed
+    over its stored entries, and give the bits of applying the stored form
+    directly, signs of zeros included."""
+    cmap = BITWISE_MAPS[case]()
+    assert (cmap.coo is None) == case.startswith(("rg", "triples-dense"))
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        x = SymMat(rng.standard_normal((cmap.n, cmap.n)))
+        y = rng.standard_normal(cmap.m)
+        assert same_bytes(forward(cmap, x.dense), direct_forward(cmap, x.dense))
+        assert same_bytes(apply_A(cmap, x), direct_forward(cmap, x.dense))
+        assert same_bytes(adjoint(cmap, y), direct_adjoint(cmap, y))
+        assert same_bytes(apply_At(cmap, y).dense, direct_adjoint(cmap, y))
+    assert same_bytes(gram(cmap), direct_gram(cmap))
+
+
+def test_large_m_bound_holds_on_clustered_top_eigenvalues(monkeypatch):
+    """AA^T = diag(1 - 1e-4 i), i < 200: the top eigenvalues cluster, so the
+    gap that power iteration converged by is 1e-4, and its stopping rule
+    ended 6.8e-5 below lambda_max. The Lanczos bound is above it, by at most
+    the inflation 1/(1 - eps)."""
+    m = 200
+    idx = np.arange(m)
+    cmap = ConstraintMap.from_triples(m, m, idx, idx, idx, np.sqrt(1.0 - 1e-4 * idx))
+    exact = np.linalg.eigvalsh(gram(cmap))[-1]
+    monkeypatch.setattr(operators_module, "_GRAM_EIG_LIMIT", 0)
+    lam = lambda_max_AAt(cmap)
+    assert lam >= exact
+    assert lam <= exact / (1.0 - operators_module._LANCZOS_EPS) * (1.0 + 1e-12)

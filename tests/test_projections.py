@@ -248,9 +248,10 @@ class TestBlockProjection:
         np.testing.assert_array_equal(out, out.T)
 
     def test_paths_by_block_size_and_run(self, monkeypatch):
-        """Runs of two or more blocks below the crossover go through one
-        batched eigendecomposition, every other block through dsyevx in place
-        on the packed vector itself, in its run's own workspace."""
+        """Each run of blocks below the crossover, a lone block included,
+        goes through one batched eigendecomposition, every other block
+        through the staged solve in place on the packed vector itself, in its
+        run's own workspace."""
         if projections_module._LAPACK is None:
             pytest.skip("numpy's LAPACK lacks one of dsyevx's stages")
         batched, in_place = [], []
@@ -271,12 +272,12 @@ class TestBlockProjection:
         layout = Layout(blocks, 53)
         assert [(k, count) for k, count, _ in layout.runs] == \
             [(14, 1), (12, 2), (4, 3), (3, 1), (2, 1)]
-        assert [ws is None for _, _, ws in layout.runs] == [False, False, True, False, False]
+        assert [ws is None for _, _, ws in layout.runs] == [False, False, True, True, True]
         workspace_of = {k: id(ws) for k, _, ws in layout.runs}
         x = layout.pack(block_matrix(np.random.default_rng(1), blocks)[0])
         proj_psd_packed(x, layout.runs)
-        assert batched == [(3, 4, 4)]
-        assert in_place == [(k, True, workspace_of[k]) for k in (14, 12, 12, 3, 2)]
+        assert batched == [(3, 4, 4), (1, 3, 3), (1, 2, 2)]
+        assert in_place == [(k, True, workspace_of[k]) for k in (14, 12, 12)]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("where", ["big-block", "small-run", "isolated"])

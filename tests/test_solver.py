@@ -1304,6 +1304,33 @@ def test_hooks_read_the_adjoint_on_the_support():
     assert checked == list(range(10))
 
 
+def test_linesearch_applies_the_adjoint_three_times_then_once():
+    """ls's first call forms A^T(b), A^T(A(X^k)) and A^T(A(X^{k+1})); each
+    later call, handed back the previous A(X^{k+1}) as it.AX, only the last."""
+    prob = small_snl()
+    cmap = prob.constraints
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return adjoint(cmap, v)
+
+    pol = LinesearchPolicy()
+    ss = pol.initial_state(prob)
+    rng = np.random.default_rng(30)
+    x_cur, y = random_sym(rng, prob.n), rng.standard_normal(prob.m)
+    it = IterateState(x_cur, y, forward(cmap, x_cur), adjoint(cmap, y), slice(None), 0, counted)
+    per_call = []
+    for k in range(1, 4):
+        x_new = random_sym(rng, prob.n)
+        ax_new = forward(cmap, x_new)
+        y, aty = pol.dual_update(prob, it, x_new, ax_new, ss)
+        per_call.append(len(calls))
+        calls.clear()
+        it = IterateState(x_new, y, ax_new, aty, slice(None), k, counted)
+    assert per_call == [3, 1, 1]
+
+
 @pytest.mark.parametrize("make_problem", [
     lambda: gen_random(1, n=6, m=4), lambda: gen_maxcut(2, n=8, m_edges=10),
     lambda: PARITY_PROBLEMS["snl"][0](),
