@@ -215,7 +215,7 @@ def _mirrored_coo(n, con, lo, hi, vals):
 def forward(cmap: ConstraintMap, x: np.ndarray) -> np.ndarray:
     """A(X) for a dense n-by-n array X."""
     index, pmap = cmap._own_packed
-    return forward_packed(pmap, x.ravel()[index])
+    return forward_packed(pmap, x.reshape(cmap.n * cmap.n)[index])  # raises unless n^2 entries
 
 
 def adjoint(cmap: ConstraintMap, y: np.ndarray) -> np.ndarray:

@@ -285,6 +285,13 @@ class TestStoredForms:
                 assert np.array_equal(at_y, at_y.T)
 
     @pytest.mark.parametrize("form", FORMS)
+    def test_forward_rejects_an_array_of_another_size(self, form, monkeypatch):
+        cmap = forced(form, monkeypatch, lambda: random_map(np.random.default_rng(18), 3, 4))
+        for size in (5, 3):
+            with pytest.raises(ValueError):
+                forward(cmap, np.ones((size, size)))
+
+    @pytest.mark.parametrize("form", FORMS)
     def test_upper_triples_round_trip(self, form, monkeypatch):
         rng = np.random.default_rng(12)
         m, n = 5, 6
