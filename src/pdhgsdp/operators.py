@@ -7,8 +7,9 @@ scatter of its nonzeros; a dense map keeps the (m, n^2) matrix and applies it
 as a matrix-vector product. :meth:`ConstraintMap.packed` re-indexes either
 form onto a packed vector that holds only some entries of X, as the solver
 keeps its iterate. Only :func:`forward_packed` and :func:`adjoint_packed`
-apply a map; the n-by-n maps, the Gram and the spectral bound run them on
-the map packed over the entries it stores.
+apply a map, each to one packed vector; the n-by-n maps, the spectral bound
+and a sparse map's Gram run them on the map packed over the entries it
+stores. No other module reads a map's stored form.
 """
 
 from __future__ import annotations
@@ -147,14 +148,20 @@ class ConstraintMap:
         slot = np.cumsum(on_support) - 1  # each position's place in the support
         return PackedMap(self.m, None, (rows, pos, slot[pos], vals), support)
 
+    def pattern(self) -> np.ndarray:
+        """The n-by-n boolean mask of the entries where some A_i is nonzero."""
+        if self.coo is None:
+            return np.any(self.dense, axis=0).reshape(self.n, self.n)
+        mask = np.zeros((self.n, self.n), dtype=bool)
+        mask.ravel()[self.coo[1]] = True
+        return mask
+
     @cached_property
     def _own_packed(self) -> tuple[np.ndarray, "PackedMap"]:
         """(index, this map packed over it): every entry of vec(X) for a
-        dense map, the distinct columns of the triples for a sparse one."""
-        nn = self.n * self.n
-        # not np.unique, whose first call imports numpy.ma (~1 MB of memory)
-        index = np.arange(nn) if self.coo is None else np.flatnonzero(
-            np.bincount(self.coo[1], minlength=nn))
+        dense map, the entries of its pattern for a sparse one."""
+        index = (np.arange(self.n * self.n) if self.coo is None
+                 else np.flatnonzero(self.pattern()))
         return index, self.packed(index)
 
     def upper_triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -185,14 +192,6 @@ class PackedMap:
     dense: np.ndarray | None
     coo: tuple | None
     support: np.ndarray | slice
-
-    def as_matrix(self) -> np.ndarray:
-        """The matrix whose row i is A_i at the packed positions ``support``."""
-        if self.coo is None:
-            return self.dense
-        out = np.zeros((self.m, self.support.size))
-        out[self.coo[0], self.coo[2]] = self.coo[3]
-        return out
 
 
 def _stored_dense(nnz: int, m: int, n: int) -> bool:
@@ -227,11 +226,9 @@ def adjoint(cmap: ConstraintMap, y: np.ndarray) -> np.ndarray:
 
 
 def forward_packed(pmap: PackedMap, x: np.ndarray) -> np.ndarray:
-    """A(X) for X as a packed vector; for a matrix x, A of each column."""
+    """A(X) for X as a packed vector."""
     if pmap.coo is None:
         return pmap.dense @ x
-    if x.ndim == 2:
-        return np.array([forward_packed(pmap, col) for col in x.T]).T
     rows, pos, _, vals = pmap.coo
     return np.bincount(rows, weights=vals * x[pos], minlength=pmap.m)
 
@@ -263,7 +260,13 @@ def apply_At(cmap: ConstraintMap, y: np.ndarray) -> SymMat:
 def gram(cmap: ConstraintMap) -> np.ndarray:
     """m-by-m Gram matrix G_ij = <A_i, A_j>; symmetric PSD."""
     pmap = cmap._own_packed[1]
-    g = forward_packed(pmap, pmap.as_matrix().T)  # column i is A(A_i)
+    if pmap.coo is None:
+        g = pmap.dense @ pmap.dense.T
+    else:
+        rows, _, slots, vals = pmap.coo
+        packed_rows = np.zeros((cmap.m, pmap.support.size))
+        packed_rows[rows, slots] = vals
+        g = np.array([forward_packed(pmap, a_i) for a_i in packed_rows])  # row i is A(A_i)
     return 0.5 * (g + g.T)
 
 

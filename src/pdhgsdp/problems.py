@@ -395,11 +395,9 @@ def read_instance(path) -> SdpProblem:
             parts = comment.split()
             meta["generator"] = parts[0]
             for part in parts[1:]:
-                if part.startswith("seed="):
-                    try:
-                        meta["seed"] = int(part[5:])
-                    except ValueError:
-                        pass
+                seed = _number(int, part[5:]) if part.startswith("seed=") else None
+                if seed is not None:
+                    meta["seed"] = seed
         pos += 1
 
     def next_line(what: str) -> tuple[str, int]:
@@ -438,10 +436,10 @@ def read_instance(path) -> SdpProblem:
         raise SdpaFormatError(
             f"line {lineno}: expected {m} right-hand-side values, got {len(fields)}"
         )
-    try:
-        b = np.array([float(v) for v in fields])
-    except ValueError:
+    b = [_number(float, v) for v in fields]
+    if None in b:
         raise SdpaFormatError(f"line {lineno}: non-numeric right-hand side")
+    b = np.array(b)
     if not np.all(np.isfinite(b)):
         raise SdpaFormatError(f"line {lineno}: b has a non-finite entry")
 

@@ -550,17 +550,12 @@ def _aggregate_blocks(problem: SdpProblem, x0: np.ndarray) -> list[np.ndarray]:
     whose edges are the off-diagonal nonzeros of C, of every A_i and of X_0.
     A diagonal entry joins nothing, so a diagonal A_i leaves its indices
     apart."""
-    n, cmap = problem.n, problem.constraints
-    pattern = (problem.C.dense != 0) | (x0 != 0)
-    if cmap.coo is None:
-        pattern |= np.any(cmap.dense, axis=0).reshape(n, n)
-    else:
-        pattern.ravel()[cmap.coo[1]] = True
+    pattern = (problem.C.dense != 0) | (x0 != 0) | problem.constraints.pattern()
     np.fill_diagonal(pattern, False)
     i, j = np.nonzero(pattern)  # the pattern is symmetric: each edge both ways
     # label propagation with pointer jumping: every label only falls, and at
     # the fixed point each component carries its smallest index
-    labels = np.arange(n)
+    labels = np.arange(problem.n)
     while True:
         prev = labels.copy()
         np.minimum.at(labels, i, labels[j])

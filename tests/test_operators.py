@@ -465,6 +465,31 @@ def test_packed_route_gives_the_stored_forms_bits(case):
     assert same_bytes(gram(cmap), direct_gram(cmap))
 
 
+@pytest.mark.parametrize("case", sorted(BITWISE_MAPS))
+def test_pattern_marks_where_some_matrix_is_nonzero(case):
+    """On generated maps of both forms and on maps from entries that repeat,
+    cancel or name the lower triangle."""
+    cmap = BITWISE_MAPS[case]()
+    stack = np.stack([adjoint(cmap, e) for e in np.eye(cmap.m)])
+    pattern = cmap.pattern()
+    assert pattern.dtype == bool
+    np.testing.assert_array_equal(pattern, np.any(stack != 0, axis=0))
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_pattern_of_a_map_with_a_zero_matrix(form, monkeypatch):
+    # A_1 is zero, and A_2's entries cancel on (3, 0)
+    entries = [np.array(a) for a in ([0, 2, 2, 2, 2], [0, 1, 3, 0, 3], [2, 1, 0, 3, 3],
+                                     [1.0, -2.0, 0.5, -0.5, 4.0])]
+    cmap = forced(form, monkeypatch, lambda: ConstraintMap.from_triples(3, 4, *entries))
+    stack = oracle_stack(3, 4, *entries)
+    assert not stack[1].any()
+    want = np.zeros((4, 4), dtype=bool)
+    want[[0, 2, 1, 3], [2, 0, 1, 3]] = True
+    np.testing.assert_array_equal(np.any(stack != 0, axis=0), want)
+    np.testing.assert_array_equal(cmap.pattern(), want)
+
+
 def test_large_m_bound_holds_on_clustered_top_eigenvalues(monkeypatch):
     """AA^T = diag(1 - 1e-4 i), i < 200: the top eigenvalues cluster, so the
     gap that power iteration converged by is 1e-4, and its stopping rule

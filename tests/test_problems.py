@@ -528,6 +528,23 @@ class TestReaderAgainstLineLoop:
         with pytest.raises(SdpaFormatError, match=f"^{message}$"):
             read_instance(path)
 
+    @pytest.mark.parametrize("rhs", ["1_5", "\u0661", "2.0 1_5", "\u0661.5"])
+    def test_rhs_takes_the_entries_number_syntax(self, rhs, tmp_path):
+        path = tmp_path / "strict.dat-s"
+        m = len(rhs.split())
+        path.write_text(f"{m}\n1\n20\n{rhs}\n1 1 1 1 1.0\n", encoding="utf-8")
+        with pytest.raises(SdpaFormatError, match="^line 4: non-numeric right-hand side$"):
+            read_instance(path)
+
+    @pytest.mark.parametrize("seed, meta", [
+        ("1_0", {}), ("\u0661", {}), ("x", {}), ("+7", {"seed": 7}), ("1_0 seed=3", {"seed": 3}),
+    ])
+    def test_seed_takes_the_entries_number_syntax(self, seed, meta, tmp_path):
+        # an unreadable seed is left out of the metadata
+        path = tmp_path / "seeded.dat-s"
+        path.write_text(f"*gen seed={seed}\n1\n1\n2\n1.0\n1 1 1 1 1.0\n", encoding="utf-8")
+        assert read_instance(path).meta == {"generator": "gen", **meta}
+
 
 # block sizes whose dense C cannot be allocated
 OVERSIZED_BLOCKS = (1000000, 99999999999999999999)

@@ -1081,6 +1081,24 @@ class TestAggregateBlocks:
         assert lengths == sizes + [1] * isolated
         assert sorted(sum(blocks, [])) == list(range(150))
 
+    @pytest.mark.parametrize("family, seed, runs, isolated", [
+        ("mc", 1, [(118, 1), (3, 3), (2, 1)], 21), ("mc", 2, [(125, 1), (2, 4)], 17),
+        ("mc", 101, [(119, 1), (4, 3), (3, 1)], 16), ("mc", 102, [(127, 1), (2, 2)], 19),
+        *(("rg", seed, [(50, 1)], 0) for seed in (1, 2, 3, 4, 5, 101, 102, 103, 104, 105)),
+        *(("snl", seed, [(52, 1)], 0) for seed in (1, 2, 101, 102)),
+    ])
+    def test_benchmark_instance_layouts(self, family, seed, runs, isolated):
+        """The projection plan of each instance of the benchmark's seed sets
+        a and b: its runs of equal blocks and its isolated indices."""
+        prob = {"mc": lambda: gen_maxcut(seed, n=150, m_edges=150),
+                "rg": lambda: gen_random(seed, n=50, m=50),
+                "snl": lambda: gen_snl(seed)[0]}[family]()
+        blocks = solver_module._aggregate_blocks(prob, np.zeros((prob.n, prob.n)))
+        layout = Layout(blocks, prob.n)
+        assert run_sizes(layout.runs) == runs
+        assert sum(b.size == 1 for b in blocks) == isolated
+        assert layout.index.size == sum(k * k * count for k, count in runs) + isolated
+
 
 @pytest.mark.parametrize("name", POLICY_NAMES)
 def test_block_split_matches_whole_projection(name, monkeypatch):
