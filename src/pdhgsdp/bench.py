@@ -108,23 +108,19 @@ class BenchConfig:
                 if not _fits(value, default):
                     raise ValueError(f"sizes for {family}: {key} must be of type "
                                      f"{type(default).__name__}, got {value!r}")
-        names = dict.fromkeys((*self.policies, *self.policy_params))
-        for name in names:
-            if name not in POLICY_NAMES:
-                raise ValueError(f"unknown policy {name!r}")
         if "s" in self.policy_params.get("ls", {}):
             raise ValueError("ls takes its s from ls_s_grid, not from policy_params")
-        # make_policy rejects a bad parameter before any solve, also one given
-        # for a policy this sweep does not run
-        for name in names:
+        # make_policy rejects an unknown policy or a bad parameter before any
+        # solve, also one named only in policy_params
+        for name in dict.fromkeys((*self.policies, *self.policy_params)):
             for _, factory in self._factories(name):
                 factory()
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "BenchConfig":
-        """Build from JSON-style data, whose lists stand for tuples (run_bench
-        takes each family's budgets as a tuple itself). A key that names no
-        field, or a value of a type its field cannot take, is a ValueError."""
+        """Build from JSON-style data, whose top-level lists stand for tuples.
+        A key that names no field, or a value of a type its field cannot take,
+        is a ValueError."""
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown bench config keys {unknown}")
@@ -183,7 +179,7 @@ def run_bench(
 ) -> BenchResult:
     """Sweep (family, policy, seed), one instance per seed, solving once under
     the family's largest budget; solved-within flags for the smaller budgets
-    come from the iteration count in the trace. Run errors are recorded
+    come from the iteration count in the record. Run errors are recorded
     per-cell and do not abort the sweep.
     """
     if trace_dir is not None:
@@ -195,34 +191,29 @@ def run_bench(
     records: list[RunRecord] = []
 
     for family in config.families:
-        budgets = tuple(config.budgets[family])
-        solved_counts = {(label, b): 0 for label, _ in factories for b in budgets}
+        budgets = config.budgets[family]
+        start = len(records)
         for seed in range(1, config.seeds + 1):
             problem = make_problem(family, seed, config.sizes)
             for label, factory in factories:
-                trace, err = _run_one(problem, factory(), budgets[-1], config)
-                converged = trace.status == "converged"
+                trace, err = _run_one(problem, factory(), budgets[-1], config.tol)
                 iters = trace.iterations
-                records.append(RunRecord(family, label, seed, converged, iters, err))
-                for budget in budgets:
-                    if converged and iters <= budget:
-                        solved_counts[(label, budget)] += 1
+                records.append(RunRecord(family, label, seed, trace.status == "converged",
+                                         iters, err))
                 if trace_dir is not None:
                     trace.write_csv(trace_dir / f"{family}_{label}_{seed}.csv")
                 if progress is not None:
                     progress(f"{family} {label} seed={seed}: {trace.status} in {iters}")
         for label, _ in factories:
+            solved = [r.iterations for r in records[start:] if r.policy == label and r.converged]
             for budget in budgets:
-                fractions[(family, label, budget)] = (
-                    solved_counts[(label, budget)] / config.seeds
-                )
+                fractions[family, label, budget] = sum(i <= budget for i in solved) / config.seeds
     return BenchResult(fractions=fractions, records=records)
 
 
-def _run_one(problem, policy, max_iters, config) -> tuple[RunTrace, str | None]:
-    cfg = SolveConfig(max_iters=max_iters, tol=config.tol)
+def _run_one(problem, policy, max_iters, tol) -> tuple[RunTrace, str | None]:
     try:
-        return solve(problem, policy, cfg), None
+        return solve(problem, policy, SolveConfig(max_iters=max_iters, tol=tol)), None
     except SolveError as exc:
         return exc.trace, str(exc)
 
@@ -246,38 +237,39 @@ def grid_search_eta(
     tol: float = DEFAULT_TOL,
     progress: Callable[[str], None] | None = None,
 ) -> GridSearchResult:
-    """For each eta in the grid, run the two balancing policies over the
+    """Run the two balancing policies under each eta of the grid over the
     ``GRID_SEARCH_SPLIT`` instance pool and report, per policy, the fraction of
     instances on which that eta converged fastest (ties count for every tied
-    eta; instances where no eta converges count for none)."""
+    eta; instances where no eta converges count for none). Every eta, size,
+    budget and tol is checked before the first solve, and each instance is
+    generated once."""
     split = GRID_SEARCH_SPLIT
-    budgets = dict(budgets or {f: DEFAULT_BUDGETS[f][1] for f in split})
+    budgets = budgets or {f: DEFAULT_BUDGETS[f][1] for f in split}
     names = ("bpdr", "alv")
-
-    # (policy, family, seed) -> iterations to tolerance per eta
-    iters_to_tol: dict[tuple[str, str, int], dict[float, float]] = {}
-    for eta in etas:
-        for family, seeds in split.items():
-            config = BenchConfig(
-                families=(family,), seeds=seeds, budgets={family: (budgets[family],)},
-                policies=names, tol=tol, sizes=sizes or {},
-                policy_params={name: {"eta": eta} for name in names},
-            )
-            tagged = None if progress is None else (
-                lambda msg, eta=eta: progress(f"eta={eta} {msg}"))
-            for rec in run_bench(config, progress=tagged).records:
-                iters_to_tol.setdefault((rec.policy, family, rec.seed), {})[eta] = (
-                    rec.iterations if rec.converged else math.inf
-                )
+    configs = {eta: BenchConfig(
+        families=tuple(split), budgets={f: (budgets[f],) for f in split},
+        policies=names, tol=tol, sizes=sizes or {},
+        policy_params={name: {"eta": eta} for name in names},
+    ) for eta in etas}
 
     wins = {(name, eta): 0 for name in names for eta in etas}
-    for (name, _, _), per_eta in iters_to_tol.items():
-        best = min(per_eta.values())
-        if math.isinf(best):
-            continue
-        for eta, iters in per_eta.items():
-            if iters == best:
-                wins[(name, eta)] += 1
+    for family, seeds in split.items():
+        for seed in range(1, seeds + 1):
+            problem = make_problem(family, seed, sizes)
+            # (name, eta) -> iterations to tolerance, inf when not converged
+            iters_to_tol: dict[tuple[str, float], float] = {}
+            for eta, config in configs.items():
+                for name, factory in config.policy_factories():
+                    trace, _ = _run_one(problem, factory(), budgets[family], tol)
+                    iters_to_tol[(name, eta)] = (
+                        trace.iterations if trace.status == "converged" else math.inf)
+                    if progress is not None:
+                        progress(f"eta={eta} {family} {name} seed={seed}: "
+                                 f"{trace.status} in {trace.iterations}")
+            for (name, eta), iters in iters_to_tol.items():
+                best = min(iters_to_tol[(name, other)] for other in configs)
+                if iters == best < math.inf:
+                    wins[(name, eta)] += 1
     n_instances = sum(split.values())
     fractions = {key: count / n_instances for key, count in wins.items()}
     return GridSearchResult(fastest_fraction=fractions)

@@ -368,7 +368,7 @@ class GradientAlignmentPolicy(_BalancingBase):
     def _branch(self, it, x_new, p_mat, report, ss) -> int:
         dx = it.X_cur - x_new
         ndx = _norm(dx)
-        npm = _norm(p_mat)
+        npm = report.p_norm
         if ndx == 0.0 or npm == 0.0:
             ss.counts["degenerate_cosine"] = ss.counts.get("degenerate_cosine", 0) + 1
             return 0

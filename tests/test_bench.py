@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from pdhgsdp.bench import (
     make_problem,
     run_bench,
 )
+from pdhgsdp.solver import SolveError
 
 TINY_SIZES = {
     "rg": {"n": 6, "m": 4},
@@ -85,6 +88,20 @@ class TestBenchConfig:
         with pytest.raises(ValueError, match="s must be a finite positive number, got -1.0"):
             tiny_config(policies=("fixed",), policy_params={"ls": {}}, ls_s_grid=(1.0, -1.0))
 
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"sizes": {"bogus": {}}}, "sizes name unknown family 'bogus'"),
+        ({"sizes": {"rg": 5}}, "sizes for rg must be a mapping, got 5"),
+        ({"policy_params": {"bogus": {}}}, "unknown policy 'bogus'"),
+    ], ids=["sizes-family", "sizes-not-mapping", "policy-only-in-params"])
+    def test_malformed_field_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            tiny_config(**kwargs)
+
+    @pytest.mark.parametrize("data", [{"families": 5}, {"policies": 7}])
+    def test_from_dict_reports_a_field_of_the_wrong_type(self, data):
+        with pytest.raises(ValueError, match="malformed bench config"):
+            BenchConfig.from_dict(data)
+
     def test_policy_params_forwarded(self):
         cfg = tiny_config(policies=("bpdr",), policy_params={"bpdr": {"eta": 0.25}})
         (_, factory), = cfg.policy_factories()
@@ -158,3 +175,70 @@ class TestGridSearch:
             assert 0.0 <= frac <= 1.0
         table = result.table_csv()
         assert table.splitlines()[0] == "policy,eta,fastest_fraction"
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"etas": (0.5, 2.0)}, "eta must be"),
+        ({"sizes": {"snl": {"radius": "x"}}}, "radius must be"),
+        ({"budgets": {"rg": 100, "mc": 100, "snl": 0}}, "budgets for snl"),
+        ({"tol": float("nan")}, "tol must be"),
+    ], ids=["eta", "size", "last-family-budget", "tol"])
+    def test_bad_input_rejected_before_any_instance(self, monkeypatch, kwargs, match):
+        def no_call(*args):
+            raise AssertionError("an instance was generated or solved")
+
+        monkeypatch.setattr(bench_mod, "make_problem", no_call)
+        monkeypatch.setattr(bench_mod, "solve", no_call)
+        with pytest.raises(ValueError, match=match):
+            grid_search_eta(**{"etas": (0.5,), **kwargs})
+
+    def test_each_instance_generated_once(self, monkeypatch):
+        monkeypatch.setattr(bench_mod, "GRID_SEARCH_SPLIT", {"rg": 2, "mc": 1})
+        generated = []
+        generate = bench_mod.make_problem
+
+        def counting(family, seed, sizes=None):
+            generated.append((family, seed))
+            return generate(family, seed, sizes)
+
+        monkeypatch.setattr(bench_mod, "make_problem", counting)
+        grid_search_eta(etas=(0.9, 0.95), sizes=TINY_SIZES, budgets={"rg": 300, "mc": 300})
+        assert generated == [("rg", 1), ("rg", 2), ("mc", 1)]
+
+    def test_fastest_fraction_from_iteration_counts(self, monkeypatch):
+        # iterations to tolerance per (policy, eta, instance); None hits the
+        # cap and "error" is a failed solve
+        script = {
+            ("bpdr", 0.9, ("rg", 1)): 10, ("bpdr", 0.95, ("rg", 1)): 10,  # tie: both win
+            ("bpdr", 0.9, ("rg", 2)): None, ("bpdr", 0.95, ("rg", 2)): None,  # no winner
+            ("bpdr", 0.9, ("mc", 1)): None, ("bpdr", 0.95, ("mc", 1)): 7,
+            ("alv", 0.9, ("rg", 1)): 5, ("alv", 0.95, ("rg", 1)): 8,
+            ("alv", 0.9, ("rg", 2)): None, ("alv", 0.95, ("rg", 2)): "error",  # no winner
+            ("alv", 0.9, ("mc", 1)): 3, ("alv", 0.95, ("mc", 1)): 3,  # tie: both win
+        }
+        budgets = {"rg": 40, "mc": 30}
+
+        def scripted_solve(problem, policy, config):
+            assert config.max_iters == budgets[problem[0]] and config.tol == 1e-5
+            iters = script[(policy.name, policy.eta, problem)]
+            if iters == "error":
+                raise SolveError("failed", SimpleNamespace(status="error", iterations=4))
+            if iters is None:
+                return SimpleNamespace(status="iteration_cap", iterations=config.max_iters)
+            return SimpleNamespace(status="converged", iterations=iters)
+
+        monkeypatch.setattr(bench_mod, "GRID_SEARCH_SPLIT", {"rg": 2, "mc": 1})
+        monkeypatch.setattr(bench_mod, "make_problem", lambda family, seed, sizes: (family, seed))
+        monkeypatch.setattr(bench_mod, "solve", scripted_solve)
+        messages = []
+        result = grid_search_eta(etas=(0.9, 0.95), budgets=budgets, tol=1e-5,
+                                 progress=messages.append)
+        assert result.fastest_fraction == {
+            ("bpdr", 0.9): 1 / 3, ("bpdr", 0.95): 2 / 3,
+            ("alv", 0.9): 2 / 3, ("alv", 0.95): 1 / 3,
+        }
+        # the runs come instance by instance
+        assert messages[:5] == [
+            "eta=0.9 rg bpdr seed=1: converged in 10", "eta=0.9 rg alv seed=1: converged in 5",
+            "eta=0.95 rg bpdr seed=1: converged in 10", "eta=0.95 rg alv seed=1: converged in 8",
+            "eta=0.9 rg bpdr seed=2: iteration_cap in 40",
+        ]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pdhgsdp.bench as bench_mod
+import pdhgsdp.solver as solver_mod
 from pdhgsdp.bench import make_problem
 from pdhgsdp.cli import build_parser, main
 from pdhgsdp.linalg import SymMat
@@ -60,6 +61,27 @@ class TestSolveCommand:
                        "--bogus-flag", "1")
         capsys.readouterr()
         assert code == 1
+
+    def test_failed_iteration_exit_one_with_completed_rows(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # the projection fails in the third iteration; the trace keeps k = 0 and 1
+        calls = []
+        project = solver_mod.proj_psd_packed
+
+        def failing_third_call(x, runs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("eigensolver did not converge")
+            return project(x, runs)
+
+        monkeypatch.setattr(solver_mod, "proj_psd_packed", failing_third_call)
+        out = tmp_path / "t.csv"
+        code = run_cli("solve", "--problem", "rg", "--policy", "tf", "--n", "6",
+                       "--m", "4", "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == "error: eigensolver did not converge\n"
+        header, *rows = out.read_text().splitlines()
+        assert header.startswith("iter,") and [row.split(",")[0] for row in rows] == ["0", "1"]
 
     @pytest.mark.parametrize("policy", ["fixed", "bpdr", "alv", "tf"])
     def test_zero_constraint_map_exit_one(self, tmp_path, capsys, policy):
@@ -334,6 +356,17 @@ class TestBenchCommand:
 
 
 class TestGridSearchCommand:
+    def test_bad_eta_exits_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # 2 is out of range; 0.5's 200 solves must not run first
+        def no_solve(*args):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(bench_mod, "solve", no_solve)
+        out = tmp_path / "grid.csv"
+        assert run_cli("grid-search", "--etas", "0.5,2", "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: eta must be")
+        assert not out.exists()
+
     def test_micro_grid(self, tmp_path, capsys, monkeypatch):
         # shrink the split so the command is fast
         import pdhgsdp.bench as bench_mod

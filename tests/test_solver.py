@@ -318,6 +318,12 @@ class TestBalancedResidualPolicy:
             make_policy(name, eta=eta)
 
 
+def report_of(p_mat, d_norm=1.0):
+    """The engine's report for the primal residual matrix ``p_mat``."""
+    p = float(np.linalg.norm(p_mat))
+    return ResidualReport(p, d_norm, p * p + d_norm * d_norm)
+
+
 class TestGradientAlignmentPolicy:
     def _setup(self):
         # two orthonormal directions: A1 off-diagonal, A2 = dx/||dx||
@@ -337,7 +343,7 @@ class TestGradientAlignmentPolicy:
         y_new = -np.asarray(delta_y, dtype=float)  # so y_old - y_new = delta_y
         # the engine's primal residual matrix, here with alpha = 1
         p_mat = (it.X_cur - x_new) - adjoint(prob.constraints, it.y - y_new)
-        return pol.adjust_post(prob, it, x_new, p_mat, ResidualReport(1.0, 1.0, 2.0), ss)
+        return pol.adjust_post(prob, it, x_new, p_mat, report_of(p_mat), ss)
 
     def test_parallel_residual_grows_alpha(self):
         prob, dx = self._setup()
@@ -361,8 +367,8 @@ class TestGradientAlignmentPolicy:
         ss = StepsizeState(alpha=1.0, beta=1.0, theta=1.0, R=1.0)
         x_same = dx.copy()
         it = iterate_state(prob, dx.copy(), np.zeros(2))
-        alpha = pol.adjust_post(prob, it, x_same, np.zeros((2, 2)),
-                                ResidualReport(0.0, 0.0, 0.0), ss)
+        p_mat = np.zeros((2, 2))
+        alpha = pol.adjust_post(prob, it, x_same, p_mat, report_of(p_mat), ss)
         assert alpha == 1.0
         assert ss.counts == {"degenerate_cosine": 1}
 
