@@ -115,6 +115,13 @@ class BenchConfig:
         for name in dict.fromkeys((*self.policies, *self.policy_params)):
             for _, factory in self._factories(name):
                 factory()
+        # a repeat counts twice; two ls_s_grid values share a label if :g's 6 digits do
+        labels = [label for label, _ in self.policy_factories()]
+        for key, names in (("families", self.families), ("policies", self.policies),
+                           ("ls_s_grid", labels)):
+            repeats = [name for i, name in enumerate(names) if name in names[:i]]
+            if repeats:
+                raise ValueError(f"{key} repeats {repeats[0]!r}")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "BenchConfig":

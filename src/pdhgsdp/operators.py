@@ -117,7 +117,6 @@ class ConstraintMap:
         if not np.all(np.isfinite(dense if coo is None else coo[2])):
             raise ValueError("a constraint matrix has a non-finite entry")
         self.m, self.n, self.dense, self.coo = m, n, dense, coo
-        self._lambda_max: float | None = None
 
     def rms_row_norm(self) -> float:
         """sqrt(tr(AA^T)/m), the root mean square of the Frobenius norms of
@@ -163,6 +162,14 @@ class ConstraintMap:
         index = (np.arange(self.n * self.n) if self.coo is None
                  else np.flatnonzero(self.pattern()))
         return index, self.packed(index)
+
+    @cached_property
+    def _lambda_max(self) -> float:
+        """The value :func:`lambda_max_AAt` returns, computed on first use."""
+        if self.m <= _GRAM_EIG_LIMIT:
+            return max(0.0, float(np.linalg.eigvalsh(gram(self))[-1]))
+        pmap = self._own_packed[1]
+        return _lanczos_bound(lambda v: forward_packed(pmap, adjoint_packed(pmap, v)), self.m)
 
     def upper_triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(con, i, j, vals) of every nonzero with i <= j, sorted by
@@ -282,14 +289,6 @@ def lambda_max_AAt(cmap: ConstraintMap) -> float:
     of probability at most _LANCZOS_FAIL = 1e-12. The start vector comes from
     a fixed seed, so each map always gets the same value.
     """
-    if cmap._lambda_max is None:
-        if cmap.m <= _GRAM_EIG_LIMIT:
-            lam = max(0.0, float(np.linalg.eigvalsh(gram(cmap))[-1]))
-        else:
-            pmap = cmap._own_packed[1]
-            lam = _lanczos_bound(lambda v: forward_packed(pmap, adjoint_packed(pmap, v)),
-                                 cmap.m)
-        cmap._lambda_max = lam
     return cmap._lambda_max
 
 

@@ -393,12 +393,11 @@ class LinesearchPolicy(StepsizePolicy):
     Every trial step is y_trial - y = beta (u + theta v) with the fixed
     vectors u = A(X^{k+1}) - b and v = A(X^{k+1}) - A(X^k). By linearity
     A^T(u) = A^T(A(X^{k+1})) - A^T(b) and A^T(v) = A^T(A(X^{k+1})) - A^T(A(X^k)),
-    so one A^T application per iteration, to A(X^{k+1}), serves them. A^T(b)
-    is formed once per solve (kept with the adjoint that formed it), and
-    A^T(A(X^k)) is the previous call's product whenever the engine hands back
-    that call's A(X^{k+1}) as ``it.AX``; otherwise (the first iteration, or a
-    call from outside the engine) A^T is applied to A(X^k) too. Squared, and
-    with beta^2 cancelled, the test reads
+    so one A^T application per iteration, to A(X^{k+1}), serves them. The one
+    memo, (A(X^{k+1}), A^T(A(X^{k+1})), A^T(b)) of the last call, supplies the
+    other two when the engine hands back that A(X^{k+1}) as ``it.AX``; else
+    (a solve's first call, or a call from outside the engine) A^T is applied
+    to A(X^k) and b too. Squared, and with beta^2 cancelled, the test reads
     ||A^T(u) + theta A^T(v)||^2 <= ||u + theta v||^2 / (s alpha_k^2), two
     quadratics in theta whose six coefficients are inner products formed
     once; only the accepted trial forms y^{k+1} and A^T(y^{k+1}).
@@ -412,8 +411,7 @@ class LinesearchPolicy(StepsizePolicy):
     def __init__(self, s: float = 1.0):
         _require_positive("s", s)
         self.s = s
-        self._atb = (None, None)  # (the adjoint that formed it, A^T(b))
-        self._last = (None, None)  # (A(X^{k+1}), A^T(A(X^{k+1}))) of the last call
+        self._last = (None, None, None)  # (A(X^{k+1}), A^T(A(X^{k+1})), A^T(b))
 
     def initial_state(self, problem: SdpProblem) -> StepsizeState:
         lam = lambda_max_AAt(problem.constraints)
@@ -425,16 +423,12 @@ class LinesearchPolicy(StepsizePolicy):
     def dual_update(self, problem, it, x_new, ax_new, ss):
         u = ax_new - problem.b
         v = ax_new - it.AX
-        adjoint_of, atb = self._atb
-        if adjoint_of is not it.adjoint:
-            atb = it.adjoint(problem.b)
-            self._atb = (it.adjoint, atb)
-        last_ax, at_ax = self._last
+        last_ax, at_ax, atb = self._last
         if last_ax is not it.AX:
-            at_ax = it.adjoint(it.AX)
+            at_ax, atb = it.adjoint(it.AX), it.adjoint(problem.b)
         at_ax_new = it.adjoint(ax_new)
         at_u, at_v = at_ax_new - atb, at_ax_new - at_ax
-        self._last = (ax_new, at_ax_new)
+        self._last = (ax_new, at_ax_new, atb)
         uu, uv, vv = float(u.dot(u)), float(u.dot(v)), float(v.dot(v))
         p, q = at_u.ravel(), at_v.ravel()  # n-by-n where hooks are called so
         pp, pq, qq = float(p.dot(p)), float(p.dot(q)), float(q.dot(q))

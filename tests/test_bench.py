@@ -102,6 +102,18 @@ class TestBenchConfig:
         with pytest.raises(ValueError, match="malformed bench config"):
             BenchConfig.from_dict(data)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"families": ("rg", "rg")}, "families repeats 'rg'"),
+        ({"policies": ("tf", "fixed", "tf")}, "policies repeats 'tf'"),
+        ({"policies": ("ls",), "ls_s_grid": (0.1, 0.1000001)}, "ls_s_grid repeats 'ls_s0.1'"),
+        ({"policies": ("ls",), "ls_s_grid": (1.0, 1)}, "ls_s_grid repeats 'ls_s1'"),
+    ], ids=["families", "policies", "ls-labels-6-digits", "ls-repeated-value"])
+    def test_repeats_rejected(self, kwargs, message):
+        # a repeat would solve each instance twice, count its runs twice and
+        # write one trace over the other
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tiny_config(**kwargs)
+
     def test_policy_params_forwarded(self):
         cfg = tiny_config(policies=("bpdr",), policy_params={"bpdr": {"eta": 0.25}})
         (_, factory), = cfg.policy_factories()
@@ -137,6 +149,13 @@ class TestRunBench:
         assert len(result.records) == 2 * 2  # seeds x policies
         for rec in result.records:
             assert (tmp_path / f"{rec.family}_{rec.policy}_{rec.seed}.csv").exists()
+
+    def test_progress_reports_each_run(self):
+        lines = []
+        result = run_bench(tiny_config(), progress=lines.append)
+        assert lines == [f"rg {r.policy} seed={r.seed}: "
+                         f"{'converged' if r.converged else 'iteration_cap'} in {r.iterations}"
+                         for r in result.records]
 
     def test_table_csv_deterministic(self):
         cfg = tiny_config()

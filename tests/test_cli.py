@@ -354,6 +354,24 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'mc'" in err
 
+    @pytest.mark.parametrize("args,message", [
+        (("--families", "rg,rg", "--policies", "tf"), "families repeats 'rg'"),
+        (("--families", "rg", "--policies", "tf,tf"), "policies repeats 'tf'"),
+        (("--families", "rg", "--policies", "ls"), "ls_s_grid repeats 'ls_s0.1'"),
+    ], ids=["families", "policies", "ls-labels"])
+    def test_repeated_name_exit_one(self, tmp_path, capsys, monkeypatch, args, message):
+        def no_instances(*args):
+            raise AssertionError("an instance was generated")
+
+        monkeypatch.setattr(bench_mod, "make_problem", no_instances)
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps({"seeds": 1, "ls_s_grid": [0.1, 0.1000001]}))
+        out_dir = tmp_path / "out"
+        code = run_cli("bench", "--config", str(cfg_path), *args, "--out-dir", str(out_dir))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
 
 class TestGridSearchCommand:
     def test_bad_eta_exits_before_any_solve(self, tmp_path, capsys, monkeypatch):

@@ -12,8 +12,9 @@ from pdhgsdp.drs import (
     resolvent_g,
 )
 from pdhgsdp.linalg import SymMat
-from pdhgsdp.operators import apply_At, build_T, forward, gram, lambda_max_AAt
-from pdhgsdp.problems import gen_random
+from pdhgsdp.operators import (ConstraintMap, apply_At, build_T, forward, gram,
+                                lambda_max_AAt)
+from pdhgsdp.problems import SdpProblem, gen_random
 from pdhgsdp.projections import proj_psd_dense
 
 
@@ -202,6 +203,19 @@ class TestCheckEquivalence:
         assert report.passed
         assert report.max_x_defect < 1e-8
         assert report.max_z_defect < 1e-8
+
+    def test_iters_counts_the_steps_compared(self):
+        """C = 0, the one constraint <I, X> = 0: the zero start is an exact
+        fixed point, so the engine stops after one iteration and the report
+        counts that one step, not the 100 asked for."""
+        n = 3
+        prob = SdpProblem(SymMat.zeros(n), ConstraintMap((SymMat.identity(n),)),
+                          np.zeros(1), {"generator": "custom"})
+        report = check_equivalence(prob, constant_schedule(), iters=100)
+        assert report.iters == 1
+        assert report.passed
+        assert check_equivalence(gen_random(1, n=5, m=3), constant_schedule(),
+                                 iters=30).iters == 30
 
     def test_geometric_schedule(self):
         prob = gen_random(1, n=5, m=3)

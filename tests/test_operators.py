@@ -476,6 +476,17 @@ def test_pattern_marks_where_some_matrix_is_nonzero(case):
     np.testing.assert_array_equal(pattern, np.any(stack != 0, axis=0))
 
 
+def test_packed_layout_must_cover_every_nonzero():
+    """A sparse map packs over any index that holds its pattern, and refuses
+    one that leaves out a nonzero."""
+    cmap = maxcut_map(7)
+    assert cmap.coo is not None
+    index = np.flatnonzero(cmap.pattern())
+    assert cmap.packed(np.concatenate([index, [1]])).support.size == index.size
+    with pytest.raises(ValueError, match="leaves out a nonzero of the map"):
+        cmap.packed(index[1:])
+
+
 @pytest.mark.parametrize("form", FORMS)
 def test_pattern_of_a_map_with_a_zero_matrix(form, monkeypatch):
     # A_1 is zero, and A_2's entries cancel on (3, 0)

@@ -337,6 +337,8 @@ MALFORMED = [
     ("1\n1\n2\n1.0\n0 2 1 1 1.0\n", "bad block number"),
     ("x\n1\n2\n1.0\n", "non-integer m"),
     ("1\n1\n2\nzz\n", "non-numeric rhs"),
+    ("0\n1\n2\n1.0\n", "no constraint"),
+    ("1\n1\n-3\n1.0\n", "negative block size"),
 ]
 NON_FINITE = [
     ("1\n1\n2\n1.0\n1 1 1 1 nan\n", "constraint matrix"),
@@ -703,6 +705,13 @@ def test_graph_laplacian_matches_edge_loop(edges):
         lap[i, j] -= 1.0
         lap[j, i] -= 1.0
     assert np.array_equal(graph_laplacian(4, edges), lap)
+
+
+def test_objective_is_the_inner_product_with_C():
+    prob = gen_random(1, n=4, m=3)
+    x = SymMat(np.random.default_rng(5).standard_normal((4, 4))).dense
+    assert prob.objective(x) == pytest.approx(float(np.sum(prob.C.dense * x)), rel=1e-14)
+    assert prob.objective(np.eye(4)) == pytest.approx(float(np.trace(prob.C.dense)), rel=1e-14)
 
 
 def test_problem_validation():

@@ -1355,6 +1355,36 @@ def test_linesearch_applies_the_adjoint_three_times_then_once():
     assert per_call == [3, 1, 1]
 
 
+def test_linesearch_forms_the_adjoint_of_b_again_for_a_fresh_AX():
+    """ls keys its memo on it.AX alone: a call handed an A(X^k) other than
+    the last call's A(X^{k+1}) applies the adjoint to b again, though
+    it.adjoint is the same function. So a second problem on the same map
+    with another b gets the step a fresh policy takes, bit for bit."""
+    prob = small_snl()
+    cmap = prob.constraints
+    other = SdpProblem(prob.C, cmap, prob.b + 1.0)
+    applied = []
+
+    def counted(v):
+        applied.append(v)
+        return adjoint(cmap, v)
+
+    rng = np.random.default_rng(31)
+    x_cur, y, x_new = random_sym(rng, prob.n), rng.standard_normal(prob.m), random_sym(rng, prob.n)
+    pol = LinesearchPolicy()
+    steps = []
+    for problem, policy in ((prob, pol), (other, pol), (other, LinesearchPolicy())):
+        it = IterateState(x_cur, y, forward(cmap, x_cur), adjoint(cmap, y), slice(None), 0,
+                          counted)
+        applied.clear()
+        steps.append(policy.dual_update(problem, it, x_new, forward(cmap, x_new),
+                                        policy.initial_state(problem)))
+        assert len(applied) == 3
+        assert any(v is problem.b for v in applied)
+    for fresh, reused in zip(steps[2], steps[1]):
+        assert np.array_equal(fresh, reused)
+
+
 @pytest.mark.parametrize("make_problem", [
     lambda: gen_random(1, n=6, m=4), lambda: gen_maxcut(2, n=8, m_edges=10),
     lambda: PARITY_PROBLEMS["snl"][0](),
